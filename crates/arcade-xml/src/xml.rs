@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use bytes::BytesMut;
 use serde::{Deserialize, Serialize};
 
 use crate::error::XmlError;
@@ -113,43 +112,42 @@ impl XmlDocument {
 
     /// Serialises the document with an XML declaration and 2-space indentation.
     pub fn to_string_pretty(&self) -> String {
-        let mut buffer = BytesMut::new();
-        buffer.extend_from_slice(b"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
-        write_element(&self.root, 0, &mut buffer);
-        String::from_utf8(buffer.to_vec()).expect("writer only emits UTF-8")
+        let mut out = String::from("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n");
+        write_element(&self.root, 0, &mut out);
+        out
     }
 }
 
-fn write_element(element: &XmlElement, depth: usize, out: &mut BytesMut) {
+fn write_element(element: &XmlElement, depth: usize, out: &mut String) {
     let indent = "  ".repeat(depth);
-    out.extend_from_slice(indent.as_bytes());
-    out.extend_from_slice(b"<");
-    out.extend_from_slice(element.name.as_bytes());
+    out.push_str(&indent);
+    out.push('<');
+    out.push_str(&element.name);
     for (name, value) in &element.attributes {
-        out.extend_from_slice(b" ");
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(b"=\"");
-        out.extend_from_slice(escape(value).as_bytes());
-        out.extend_from_slice(b"\"");
+        out.push(' ');
+        out.push_str(name);
+        out.push_str("=\"");
+        out.push_str(&escape(value));
+        out.push('"');
     }
     if element.children.is_empty() && element.text.is_empty() {
-        out.extend_from_slice(b"/>\n");
+        out.push_str("/>\n");
         return;
     }
-    out.extend_from_slice(b">");
+    out.push('>');
     if !element.text.is_empty() {
-        out.extend_from_slice(escape(&element.text).as_bytes());
+        out.push_str(&escape(&element.text));
     }
     if !element.children.is_empty() {
-        out.extend_from_slice(b"\n");
+        out.push('\n');
         for child in &element.children {
             write_element(child, depth + 1, out);
         }
-        out.extend_from_slice(indent.as_bytes());
+        out.push_str(&indent);
     }
-    out.extend_from_slice(b"</");
-    out.extend_from_slice(element.name.as_bytes());
-    out.extend_from_slice(b">\n");
+    out.push_str("</");
+    out.push_str(&element.name);
+    out.push_str(">\n");
 }
 
 fn escape(text: &str) -> String {

@@ -10,13 +10,13 @@
 //!   lazily over its C(99, 4) = 3,764,376 canonical multisets under the
 //!   stationary product measure, the tier that replaces an 84,934,656-state
 //!   product materialisation;
-//! * **joint solve** — the `ded^2` bank solved on its 4,656-orbit fold, the
-//!   tier below the materialisation cap.
+//! * **joint solve** — the `ded^2` bank's 9,216-state product solved
+//!   matrix-free by the availability planner.
 //!
 //! Every thread count must produce bit-identical results before timing —
 //! the sweep asserts this up front, mirroring the other benches.
 
-use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis};
+use arcade_core::{AvailabilityTier, ComposerOptions, ExecOptions, FacilityAnalysis};
 use criterion::{criterion_group, criterion_main, Criterion};
 use watertreatment::experiments::ORBIT_ENUMERATION_CAP;
 use watertreatment::ModelSpec;
@@ -113,9 +113,14 @@ fn bench_joint_solve_tier(c: &mut Criterion) {
         let spec = ModelSpec::parse("facility/ded^2").unwrap();
         let model = spec.facility_model().unwrap().unwrap();
         let analysis = FacilityAnalysis::with_options(&model, options(threads)).unwrap();
-        let joint = analysis.joint_steady_state_availability().unwrap();
-        assert_eq!(joint.solved_states, 96 * 97 / 2);
-        assert!(joint.residual < 1e-9, "residual {}", joint.residual);
+        let joint = analysis.planned_availability().unwrap();
+        assert_eq!(joint.tier, AvailabilityTier::JointSolve);
+        assert_eq!(joint.solved_states, 96 * 96);
+        assert!(
+            joint.certificate.unwrap() < 1e-9,
+            "residual {:?}",
+            joint.certificate
+        );
         joint.availability
     };
     let reference = solve(1);

@@ -2,18 +2,20 @@
 //! facility product (449 × 257 = 115,393 joint blocks).
 //!
 //! The acceptance race of the operator tier: **materialise+solve** builds the
-//! joint `SparseMatrix` through the sharded row enumeration and Gauss–Seidels
-//! it, while **operator-solve** hands the Kronecker-sum operator straight to
-//! the Krylov solver — no `materialize()` call anywhere on that path, so its
-//! peak allocation is a handful of product-length vectors instead of the
-//! ≈ 1.2M-entry joint matrix. Both are warm started from the product form and
-//! certified by the matrix-free balance residual.
+//! joint `SparseMatrix` through the sharded row enumeration (the compiled
+//! quotient the transient queries use) and Gauss–Seidels it from a cold
+//! start, while **operator-solve** hands the Kronecker-sum operator straight
+//! to the Krylov solver, warm started from the product form — no
+//! `materialize()` call anywhere on that path, so its peak allocation is a
+//! handful of product-length vectors instead of the ≈ 1.2M-entry joint
+//! matrix.
 //!
 //! Before any timing, the gate asserts the two paths agree to ≤ 1e-10 and
 //! that the operator solve is bit-identical at 1, 2, 4 and 8 threads.
 
 use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis, FacilityModel};
 use criterion::{criterion_group, criterion_main, Criterion};
+use ctmc::SteadyStateSolver;
 use watertreatment::{facility, strategies};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -35,20 +37,21 @@ fn bench_matrix_free_steady_state(c: &mut Criterion) {
     // Acceptance gate: operator ≡ materialised ≤ 1e-10, certified, and the
     // operator path is bit-identical for every thread count.
     let reference_analysis = FacilityAnalysis::with_options(&model, options(1)).unwrap();
-    let materialised = reference_analysis
-        .joint_steady_state_availability()
+    let quotient = reference_analysis.compiled_quotient().unwrap();
+    assert_eq!(quotient.num_states(), 449 * 257);
+    let pi = SteadyStateSolver::new(quotient.chain())
+        .tolerance(1e-13)
+        .solve()
         .unwrap();
-    assert_eq!(materialised.solver_tier, "gs-materialised");
-    assert_eq!(materialised.joint_states, 449 * 257);
+    let materialised = quotient.availability_of(&pi);
     let reference = reference_analysis
         .matrix_free_steady_state_availability()
         .unwrap();
     assert_eq!(reference.solver_tier, "krylov-operator");
     assert!(
-        (reference.availability - materialised.availability).abs() <= 1e-10,
-        "operator {} vs materialised {}",
-        reference.availability,
-        materialised.availability
+        (reference.availability - materialised).abs() <= 1e-10,
+        "operator {} vs materialised {materialised}",
+        reference.availability
     );
     assert!(reference.residual < 1e-9, "residual {}", reference.residual);
     for threads in THREAD_COUNTS {
@@ -71,9 +74,10 @@ fn bench_matrix_free_steady_state(c: &mut Criterion) {
             b.iter(|| {
                 FacilityAnalysis::with_options(&model, options(threads))
                     .unwrap()
-                    .joint_steady_state_availability()
+                    .compiled_quotient()
                     .unwrap()
-                    .availability
+                    .availability(ExecOptions::with_threads(threads))
+                    .unwrap()
             })
         });
         group.bench_function(format!("operator_krylov/threads_{threads}"), |b| {

@@ -8,9 +8,7 @@
 //!   33,153 sorted-pair orbit representatives, materialised through the
 //!   sharded representative-row enumeration;
 //! * **orbit availability** — the full twin availability validation: the
-//!   orbit chain's stationary solve (warm started from the aggregated
-//!   product form) plus the matrix-free Kronecker residual of its uniform
-//!   expansion;
+//!   orbit chain's cold Gauss–Seidel solve plus its balance residual;
 //! * **minimality certificate** — the exact-lumping pass proving the
 //!   paper's DED×DED product (15,360 blocks) carries no cross-line symmetry
 //!   for the facility measures.
@@ -20,6 +18,7 @@
 
 use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis};
 use criterion::{criterion_group, criterion_main, Criterion};
+use ctmc::SteadyStateSolver;
 use watertreatment::{facility, strategies, Line};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
@@ -65,10 +64,14 @@ fn bench_orbit_availability(c: &mut Criterion) {
     let availability = |threads: usize| {
         let model = facility::twin_facility(Line::Line2, &strategies::frf(1)).unwrap();
         let analysis = FacilityAnalysis::with_options(&model, options(threads)).unwrap();
-        let joint = analysis.joint_steady_state_availability().unwrap();
-        assert_eq!(joint.solved_states, 257 * 258 / 2);
-        assert!(joint.residual < 1e-9, "residual {}", joint.residual);
-        joint.availability
+        let quotient = analysis.compiled_quotient().unwrap();
+        assert_eq!(quotient.num_states(), 257 * 258 / 2);
+        let solver =
+            SteadyStateSolver::new(quotient.chain()).exec(ExecOptions::with_threads(threads));
+        let pi = solver.solve().unwrap();
+        let residual = solver.balance_residual(&pi).unwrap();
+        assert!(residual < 1e-9, "residual {residual}");
+        quotient.availability_of(&pi)
     };
     let reference = availability(1);
     for threads in THREAD_COUNTS {

@@ -59,6 +59,12 @@ use crate::repair::{RepairStrategy, RepairUnit};
 use crate::spare::SpareManagementUnit;
 use fault_tree::{StructureNode, SystemStructure};
 
+/// Convergence tolerance of the per-group stationary solves. The group
+/// chains are small, so converging far below the solver default costs a few
+/// sweeps and makes the product form — and the joint solves warm-started
+/// from it — accurate to ~1e-13 instead of ~1e-11.
+const GROUP_STATIONARY_TOLERANCE: f64 = 1e-14;
+
 /// One named process line of a facility.
 #[derive(Debug, Clone)]
 pub struct FacilityLine {
@@ -614,7 +620,7 @@ pub struct FacilityLineStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct JointAvailability {
     /// Probability that at least one line is fully operational, from the
-    /// stationary distribution of the materialised joint chain.
+    /// stationary distribution of the joint chain.
     pub availability: f64,
     /// Matrix-free balance residual of the joint stationary vector against
     /// the Kronecker-sum generator: the certificate that the vector is
@@ -624,15 +630,13 @@ pub struct JointAvailability {
     pub joint_states: usize,
     /// Number of joint transitions of the unreduced product.
     pub joint_transitions: usize,
-    /// Number of states of the chain the solver actually ran on: the orbit
-    /// quotient under factor symmetry, the full product otherwise.
+    /// Number of states of the chain the solver actually ran on (the full
+    /// product: the operator path never reduces).
     pub solved_states: usize,
-    /// Name of the solver tier that produced the vector:
-    /// `"gs-materialised"` for the materialised Gauss–Seidel path,
-    /// `"krylov-operator"` / `"jacobi-operator"` for the matrix-free path.
+    /// Name of the solver that produced the vector: `"krylov-operator"`, or
+    /// `"jacobi-operator"` when the Krylov solve stalled.
     pub solver_tier: String,
-    /// Iterations (matrix sweeps for the materialised path, operator applies
-    /// for the matrix-free path) the solver spent.
+    /// Operator applies the solver spent.
     pub iterations: usize,
 }
 
@@ -926,6 +930,7 @@ impl<'a> FacilityAnalysis<'a> {
             .map(|g| {
                 Ok(SteadyStateSolver::new(g.solver_chain())
                     .exec(self.exec())
+                    .tolerance(GROUP_STATIONARY_TOLERANCE)
                     .solve()?)
             })
             .collect::<Result<Vec<_>, ArcadeError>>()?;
@@ -985,7 +990,7 @@ impl<'a> FacilityAnalysis<'a> {
     }
 
     /// The shared joint-chain cache: built on first use, reused by every
-    /// joint measure (availability, survivability, costs, reductions).
+    /// joint measure (survivability, costs, reductions).
     fn joint(&self) -> Result<&JointCache, ArcadeError> {
         if let Some(cache) = self.joint.get() {
             return Ok(cache);
@@ -1136,51 +1141,6 @@ impl<'a> FacilityAnalysis<'a> {
         Ok(self.reduction.get_or_init(|| reduction).clone())
     }
 
-    /// Facility availability from the **genuine joint chain**: the cached
-    /// joint chain (the sorted-tuple orbit quotient under factor symmetry,
-    /// the materialised product otherwise) is solved for its stationary
-    /// distribution — warm started from the product form, which changes only
-    /// the trajectory — and the any-line-operational mass summed. The result
-    /// is certified by the matrix-free Kronecker-sum balance residual of the
-    /// joint-level vector (orbit solves expand uniformly over their orbits,
-    /// which is exact for automorphism-invariant stationary vectors).
-    /// Agreement with [`FacilityAnalysis::steady_state_availability`] to
-    /// solver tolerance is the paper's `A1 + A2 − A1·A2` validation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates product-construction and solver errors.
-    pub fn joint_steady_state_availability(&self) -> Result<JointAvailability, ArcadeError> {
-        let exec = self.exec();
-        let cache = self.joint()?;
-        let guess = cache
-            .product
-            .product_distribution(self.group_stationaries()?)?;
-        let guess = match &cache.orbit {
-            Some(orbit) => orbit.aggregate_distribution(&cache.product, &guess),
-            None => guess,
-        };
-        let (pi, iterations) = SteadyStateSolver::new(cache.quotient.chain())
-            .exec(exec)
-            .initial_guess(guess)
-            .solve_counted()?;
-        let joint_pi = match &cache.orbit {
-            Some(orbit) => orbit.expand_distribution(&cache.product, &pi),
-            None => pi.clone(),
-        };
-        let residual = cache.product.balance_residual(&joint_pi, &exec)?;
-        let availability = cache.quotient.availability_of(&pi);
-        Ok(JointAvailability {
-            availability,
-            residual,
-            joint_states: cache.product.num_states(),
-            joint_transitions: cache.product.num_transitions(),
-            solved_states: cache.quotient.num_states(),
-            solver_tier: "gs-materialised".to_string(),
-            iterations,
-        })
-    }
-
     /// Facility availability from the genuine joint chain **without ever
     /// materialising it**: the Kronecker-sum operator of the quotient product
     /// is handed to [`OperatorSteadyStateSolver`], warm started from the
@@ -1189,8 +1149,8 @@ impl<'a> FacilityAnalysis<'a> {
     /// that converges in a handful of applies). Krylov runs first; if the
     /// restarted iteration stalls the solver falls back to damped Jacobi,
     /// whose sweeps on the uniformised chain always contract. The returned
-    /// vector is certified by the same matrix-free balance residual as the
-    /// materialised path, and the any-line-operational mass is summed over
+    /// vector is certified by the matrix-free Kronecker-sum balance residual,
+    /// and the any-line-operational mass is summed over
     /// per-group masks expanded on the fly — no joint matrix, no joint state
     /// enumeration beyond the mask vectors.
     ///
@@ -1252,7 +1212,7 @@ impl<'a> FacilityAnalysis<'a> {
     /// "no member line up" event factorises across classes, the availability
     /// is exactly `1 − Π_class (class none-up mass)` — no joint chain is ever
     /// built, so this tier scales to products far beyond what
-    /// [`FacilityAnalysis::joint_steady_state_availability`] can materialise
+    /// [`FacilityAnalysis::matrix_free_steady_state_availability`] can hold
     /// (`k = 4` DED twins: 3,764,376 orbit visits instead of an
     /// 84,934,656-state product). The enumeration is strictly sequential, so
     /// the result is bit-identical across thread counts whenever the
@@ -1560,7 +1520,7 @@ impl<'a> FacilityAnalysis<'a> {
                 self.steady_state_availability().map(MeasureResult::Scalar)
             }
             FacilityMeasure::JointSteadyStateAvailability => Ok(MeasureResult::Scalar(
-                self.joint_steady_state_availability()?.availability,
+                self.planned_availability()?.availability,
             )),
             FacilityMeasure::LineAvailability { line } => {
                 let index =
@@ -1666,6 +1626,19 @@ mod tests {
             .unwrap()
     }
 
+    /// The materialised reference: Gauss–Seidel on the cached joint chain,
+    /// as (availability, balance residual on that chain).
+    fn materialised(analysis: &FacilityAnalysis) -> (f64, f64) {
+        let quotient = analysis.compiled_quotient().unwrap();
+        let exec = analysis.options().exec;
+        let (pi, _) = quotient.stationary_counted(None, exec).unwrap();
+        let residual = SteadyStateSolver::new(quotient.chain())
+            .exec(exec)
+            .balance_residual(&pi)
+            .unwrap();
+        (quotient.availability_of(&pi), residual)
+    }
+
     fn independent_facility() -> FacilityModel {
         FacilityModel::builder("plant")
             .line("line1", pump_line("ru1", 100.0, 1.0))
@@ -1710,28 +1683,32 @@ mod tests {
     fn joint_chain_confirms_the_product_form() {
         let facility = independent_facility();
         let analysis = FacilityAnalysis::new(&facility).unwrap();
-        let joint = analysis.joint_steady_state_availability().unwrap();
+        let (joint, residual) = materialised(&analysis);
         let product_form = analysis.steady_state_availability().unwrap();
-        assert_eq!(joint.joint_states, 4);
-        assert!((joint.availability - product_form).abs() <= 1e-9);
-        assert!(joint.residual < 1e-9, "residual {}", joint.residual);
-        assert_eq!(joint.solver_tier, "gs-materialised");
+        assert_eq!(analysis.compiled_quotient().unwrap().source_states(), 4);
+        assert!((joint - product_form).abs() <= 1e-9);
+        assert!(residual < 1e-9, "residual {residual}");
+        let planned = analysis.planned_availability().unwrap();
+        assert_eq!(planned.tier, crate::AvailabilityTier::JointSolve);
+        assert_eq!(planned.solver.as_deref(), Some("krylov-operator"));
     }
 
     #[test]
     fn matrix_free_path_matches_the_materialised_joint_solve() {
         let facility = independent_facility();
         let analysis = FacilityAnalysis::new(&facility).unwrap();
-        let materialised = analysis.joint_steady_state_availability().unwrap();
+        let (reference, _) = materialised(&analysis);
         let operator = analysis.matrix_free_steady_state_availability().unwrap();
         assert!(
-            (operator.availability - materialised.availability).abs() <= 1e-10,
-            "{} vs {}",
-            operator.availability,
-            materialised.availability
+            (operator.availability - reference).abs() <= 1e-10,
+            "{} vs {reference}",
+            operator.availability
         );
         assert!(operator.residual < 1e-9, "residual {}", operator.residual);
-        assert_eq!(operator.joint_states, materialised.joint_states);
+        assert_eq!(
+            operator.joint_states,
+            analysis.compiled_quotient().unwrap().source_states()
+        );
         // The operator path never reduces: it solves the full product.
         assert_eq!(operator.solved_states, operator.joint_states);
         assert_eq!(operator.solver_tier, "krylov-operator");
@@ -1766,8 +1743,8 @@ mod tests {
         );
         // With a single group the genuine joint chain IS the group chain, so
         // both paths agree.
-        let joint = analysis.joint_steady_state_availability().unwrap();
-        assert!((joint.availability - coupled).abs() <= 1e-9);
+        let (joint, _) = materialised(&analysis);
+        assert!((joint - coupled).abs() <= 1e-9);
 
         let stats = analysis.stats();
         assert!(stats.lines.iter().all(|l| l.jointly_explored));
@@ -1834,11 +1811,15 @@ mod tests {
         let stats = analysis.stats();
         assert_eq!(stats.joint_blocks, 8);
         assert_eq!(stats.orbit_blocks, Some(4));
-        let joint = analysis.joint_steady_state_availability().unwrap();
-        assert_eq!(joint.solved_states, 4, "the fold must not be dropped");
+        assert_eq!(
+            analysis.compiled_quotient().unwrap().num_states(),
+            4,
+            "the fold must not be dropped"
+        );
+        let (joint, residual) = materialised(&analysis);
         let product_form = analysis.steady_state_availability().unwrap();
-        assert!((joint.availability - product_form).abs() <= 1e-9);
-        assert!(joint.residual < 1e-9, "residual {}", joint.residual);
+        assert!((joint - product_form).abs() <= 1e-9);
+        assert!(residual < 1e-9, "residual {residual}");
         // Cost measures run on the folded chain with the sorted-sum rewards.
         let acc = analysis
             .accumulated_cost_curve(Some("all-pumps"), &[0.0, 1.0, 3.0])
@@ -1890,8 +1871,8 @@ mod tests {
             "{} vs {product_form}",
             orbit.availability
         );
-        let joint = analysis.joint_steady_state_availability().unwrap();
-        assert!((orbit.availability - joint.availability).abs() <= 1e-9);
+        let (joint, _) = materialised(&analysis);
+        assert!((orbit.availability - joint).abs() <= 1e-9);
 
         // The cap is enforced before any enumeration.
         let capped = analysis.orbit_availability(5);

@@ -71,6 +71,7 @@ pub mod facility;
 pub mod families;
 pub mod measures;
 pub mod model;
+pub mod plan;
 pub mod quotient;
 pub mod repair;
 pub mod spare;
@@ -93,6 +94,10 @@ pub use facility::{
 pub use families::{detect_families, detect_subtree_families, ComponentFamily, SubtreeFamily};
 pub use measures::{FacilityMeasure, Measure, MeasureResult};
 pub use model::{ArcadeModel, ArcadeModelBuilder};
+pub use plan::{
+    AvailabilityPlan, AvailabilityTier, PlannedAvailability, MAX_OPERATOR_PRODUCT,
+    ORBIT_ENUMERATION_CAP,
+};
 pub use quotient::{CompiledQuotient, QuotientParts};
 pub use repair::{RepairStrategy, RepairUnit};
 pub use spare::SpareManagementUnit;

@@ -139,8 +139,9 @@ pub enum FacilityMeasure {
     /// via the product form (`A = A1 + A2 − A1·A2` for two independent
     /// lines).
     SteadyStateAvailability,
-    /// The same probability solved on the genuine materialised joint chain
-    /// (the validation counterpart of the product form).
+    /// The same probability from the availability planner — the genuine
+    /// joint chain solved matrix-free where it fits (the validation
+    /// counterpart of the product form).
     JointSteadyStateAvailability,
     /// Long-run probability that the named line is fully operational.
     LineAvailability {

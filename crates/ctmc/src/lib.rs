@@ -3,8 +3,9 @@
 //! This crate provides the numerical substrate used by the Arcade dependability
 //! framework: a compressed sparse row matrix, labelled CTMCs, transient analysis
 //! via uniformisation with Fox–Glynn Poisson weights, time-bounded reachability,
-//! steady-state solvers (Gauss–Seidel, Jacobi, power iteration) with bottom
-//! strongly-connected-component (BSCC) analysis, and Markov reward models with
+//! steady-state solvers (Gauss–Seidel with bottom strongly-connected-component
+//! (BSCC) analysis on materialised chains; Krylov with a damped-Jacobi
+//! fallback on matrix-free operators), and Markov reward models with
 //! instantaneous and accumulated expected-reward measures.
 //!
 //! The algorithms are the same ones used by stochastic model checkers such as
@@ -61,7 +62,7 @@ pub use operator_steady_state::{OperatorSteadyStateMethod, OperatorSteadyStateSo
 pub use ops::LinearOperator;
 pub use rewards::{RewardSolver, RewardStructure};
 pub use sparse::{SparseMatrix, SparseMatrixBuilder};
-pub use steady_state::{SteadyStateMethod, SteadyStateSolver};
+pub use steady_state::SteadyStateSolver;
 pub use transient::{OperatorTransientSolver, TransientOptions, TransientSolver};
 
 /// Default convergence tolerance used by the iterative solvers in this crate.

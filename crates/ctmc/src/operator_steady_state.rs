@@ -9,18 +9,16 @@
 //! `k` line quotients solves in `O(states)` memory instead of
 //! `O(transitions)`.
 //!
-//! Three methods are available: sharded damped Jacobi and power iteration
-//! (the operator counterparts of [`crate::SteadyStateSolver`]'s sweeps, one
-//! operator pass per iteration with the successive-iterate norm folded in),
-//! and a restarted GMRES-style Krylov iteration on the normalised balance
-//! equations, which converges in a handful of operator applies where the
-//! stationary iterations need thousands on stiff chains (repair rates four
-//! orders of magnitude above failure rates, as in the water-treatment
-//! models).
+//! Two methods are available: a restarted GMRES-style Krylov iteration on
+//! the normalised balance equations, which converges in a handful of operator
+//! applies on stiff chains (repair rates four orders of magnitude above
+//! failure rates, as in the water-treatment models), and sharded damped
+//! Jacobi (one operator pass per iteration with the successive-iterate norm
+//! folded in), the fallback when a Krylov solve stalls.
 //!
 //! # Determinism
 //!
-//! All three methods are bit-identical for every thread count: the operator
+//! Both methods are bit-identical for every thread count: the operator
 //! applies are bit-identical by the [`crate::ops`] contract, the fused
 //! update-and-norm passes merge per-shard maxima with the order-independent
 //! `f64::max`, and every Krylov reduction (dot products, norms, the
@@ -40,15 +38,15 @@
 //! [`SparseMatrix`]: crate::sparse::SparseMatrix
 
 use arcade_telemetry::Recorder;
-use serde::{Deserialize, Serialize};
 
 use crate::error::CtmcError;
 use crate::exec::ExecOptions;
 use crate::ops::LinearOperator;
+use crate::steady_state::{normalize, validate_guess};
 use crate::{DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE};
 
 /// Iterative method used by [`OperatorSteadyStateSolver`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OperatorSteadyStateMethod {
     /// Restarted GMRES on the normalised balance equations (default): the
     /// singular system `pi Q = 0` is made nonsingular by replacing one column
@@ -56,15 +54,10 @@ pub enum OperatorSteadyStateMethod {
     /// iteration solves it in few operator applies even on stiff chains.
     #[default]
     Krylov,
-    /// Damped Jacobi iteration on the balance equations (the operator
-    /// counterpart of [`crate::SteadyStateMethod::Jacobi`]). Robust and
+    /// Damped Jacobi iteration on the balance equations. Robust and
     /// memory-minimal — three vectors — but needs many sweeps when rates are
-    /// stiff; the place to fall back to when the Krylov restart memory
-    /// (`restart + 2` vectors) is too dear.
+    /// stiff; the place to fall back to when a Krylov solve stalls.
     Jacobi,
-    /// Power iteration on the uniformised DTMC `P = I + Q/q`, applied
-    /// matrix-free.
-    Power,
 }
 
 impl OperatorSteadyStateMethod {
@@ -73,16 +66,15 @@ impl OperatorSteadyStateMethod {
         match self {
             OperatorSteadyStateMethod::Krylov => "krylov-operator",
             OperatorSteadyStateMethod::Jacobi => "jacobi-operator",
-            OperatorSteadyStateMethod::Power => "power-operator",
         }
     }
 }
 
-/// Headroom applied to the maximal exit rate when uniformising, matching the
-/// materialised power iteration.
+/// Headroom applied to the maximal exit rate when scaling the balance
+/// equations by a uniformisation rate.
 const UNIFORMIZATION_FACTOR: f64 = 1.02;
 
-/// Damping of the Jacobi update, matching the materialised sweep.
+/// Damping of the Jacobi update.
 const DAMPING: f64 = 0.5;
 
 /// Default Krylov restart length: `restart + 2` basis vectors bound the
@@ -179,7 +171,7 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
     }
 
     /// Sets the convergence tolerance: the maximum-norm threshold on the
-    /// per-iteration change (Jacobi/power) or on the normalised-balance
+    /// per-iteration change (Jacobi) or on the normalised-balance
     /// residual (Krylov).
     pub fn tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
@@ -192,7 +184,7 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
         self
     }
 
-    /// Sets the Krylov restart length (ignored by Jacobi/power). The solver
+    /// Sets the Krylov restart length (ignored by Jacobi). The solver
     /// keeps `restart + 2` basis vectors, so this bounds its working memory.
     pub fn restart(mut self, restart: usize) -> Self {
         self.restart = restart.max(1);
@@ -257,7 +249,6 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
         }
         match self.method {
             OperatorSteadyStateMethod::Jacobi => self.jacobi(start),
-            OperatorSteadyStateMethod::Power => self.power(start, max_exit),
             OperatorSteadyStateMethod::Krylov => self.krylov(start, max_exit),
         }
     }
@@ -289,17 +280,7 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
     fn start_vector(&self) -> Result<Vec<f64>, CtmcError> {
         let n = self.num_states();
         if let Some(guess) = &self.initial_guess {
-            if guess.len() != n {
-                return Err(CtmcError::DimensionMismatch {
-                    expected: n,
-                    actual: guess.len(),
-                });
-            }
-            if guess.iter().any(|&g| !g.is_finite() || g < 0.0) {
-                return Err(CtmcError::InvalidArgument {
-                    reason: "initial guess must be nonnegative and finite".to_string(),
-                });
-            }
+            validate_guess(guess, n)?;
             let total: f64 = guess.iter().sum();
             if total > 0.0 {
                 return Ok(guess.iter().map(|g| g / total).collect());
@@ -308,44 +289,35 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
         Ok(vec![1.0 / n as f64; n])
     }
 
-    /// Fused elementwise update: writes `next[s] = update(s, inflow[s])` on
-    /// the worker pool and returns the maximum of `delta(s, inflow[s])` —
-    /// per-shard maxima merged with the order-independent `f64::max`, so both
-    /// the vector and the norm are bit-identical for every thread count.
-    fn fused_update<U, D>(&self, inflow: &[f64], next: &mut [f64], update: U, delta: D) -> f64
+    /// Fused elementwise update: `(next[s], delta) = step(s, inflow[s])` on
+    /// the worker pool, returning the maximal `delta` — per-shard maxima
+    /// merged with the order-independent `f64::max`, so both the vector and
+    /// the norm are bit-identical for every thread count.
+    fn fused_update<F>(&self, inflow: &[f64], next: &mut [f64], step: F) -> f64
     where
-        U: Fn(usize, f64) -> f64 + Sync,
-        D: Fn(usize, f64) -> f64 + Sync,
+        F: Fn(usize, f64) -> (f64, f64) + Sync,
     {
+        let sweep = |start: usize, shard: &mut [f64]| {
+            let mut max_delta = 0.0f64;
+            for (offset, slot) in shard.iter_mut().enumerate() {
+                let (value, delta) = step(start + offset, inflow[start + offset]);
+                *slot = value;
+                max_delta = max_delta.max(delta);
+            }
+            max_delta
+        };
         let n = next.len();
         let workers = self.exec.workers_for(n).min(n.max(1));
         if workers <= 1 {
-            let mut max_delta = 0.0f64;
-            for (s, slot) in next.iter_mut().enumerate() {
-                *slot = update(s, inflow[s]);
-                max_delta = max_delta.max(delta(s, inflow[s]));
-            }
-            return max_delta;
+            return sweep(0, next);
         }
         let chunk = crate::exec::chunk_len(n, workers);
         std::thread::scope(|scope| {
-            let update = &update;
-            let delta = &delta;
+            let sweep = &sweep;
             let handles: Vec<_> = next
                 .chunks_mut(chunk)
                 .enumerate()
-                .map(|(i, shard)| {
-                    let start = i * chunk;
-                    scope.spawn(move || {
-                        let mut max_delta = 0.0f64;
-                        for (offset, slot) in shard.iter_mut().enumerate() {
-                            let s = start + offset;
-                            *slot = update(s, inflow[s]);
-                            max_delta = max_delta.max(delta(s, inflow[s]));
-                        }
-                        max_delta
-                    })
-                })
+                .map(|(i, shard)| scope.spawn(move || sweep(i * chunk, shard)))
                 .collect();
             handles
                 .into_iter()
@@ -371,24 +343,14 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
             self.rates
                 .left_multiply_exec(&pi, &mut inflow, &self.exec)?;
             let pi_ref = &pi;
-            let max_delta = self.fused_update(
-                &inflow,
-                &mut next,
-                |s, inf| {
-                    if exit[s] <= 0.0 {
-                        pi_ref[s]
-                    } else {
-                        DAMPING * (inf / exit[s]) + (1.0 - DAMPING) * pi_ref[s]
-                    }
-                },
-                |s, inf| {
-                    if exit[s] <= 0.0 {
-                        0.0
-                    } else {
-                        (inf / exit[s] - pi_ref[s]).abs()
-                    }
-                },
-            );
+            let max_delta = self.fused_update(&inflow, &mut next, |s, inf| {
+                if exit[s] <= 0.0 {
+                    return (pi_ref[s], 0.0);
+                }
+                let updated = inf / exit[s];
+                let damped = DAMPING * updated + (1.0 - DAMPING) * pi_ref[s];
+                (damped, (updated - pi_ref[s]).abs())
+            });
             probe.record(max_delta);
             std::mem::swap(&mut pi, &mut next);
             normalize(&mut pi);
@@ -398,42 +360,6 @@ impl<'a, O: LinearOperator> OperatorSteadyStateSolver<'a, O> {
         }
         Err(CtmcError::NotConverged {
             solver: "jacobi-operator steady-state",
-            iterations: self.max_iterations,
-            residual: self.balance_residual(&pi)?,
-        })
-    }
-
-    /// Power iteration on the uniformised DTMC, matrix-free: the step
-    /// `pi + (pi R - pi ∘ E)/q` never forms `P`.
-    fn power(&self, start: Vec<f64>, max_exit: f64) -> Result<(Vec<f64>, usize), CtmcError> {
-        let n = self.num_states();
-        let q = max_exit * UNIFORMIZATION_FACTOR;
-        let mut pi = start;
-        let mut next = vec![0.0; n];
-        let mut inflow = vec![0.0; n];
-        let exit = &self.exit_rates;
-        let mut probe = self
-            .recorder
-            .probe("residual", OperatorSteadyStateMethod::Power.tier_name());
-        for iteration in 0..self.max_iterations {
-            self.rates
-                .left_multiply_exec(&pi, &mut inflow, &self.exec)?;
-            let pi_ref = &pi;
-            let max_delta = self.fused_update(
-                &inflow,
-                &mut next,
-                |s, inf| pi_ref[s] + (inf - pi_ref[s] * exit[s]) / q,
-                |s, inf| ((inf - pi_ref[s] * exit[s]) / q).abs(),
-            );
-            probe.record(max_delta);
-            std::mem::swap(&mut pi, &mut next);
-            normalize(&mut pi);
-            if max_delta < self.tolerance {
-                return Ok((pi, iteration + 1));
-            }
-        }
-        Err(CtmcError::NotConverged {
-            solver: "power-operator steady-state",
             iterations: self.max_iterations,
             residual: self.balance_residual(&pi)?,
         })
@@ -655,13 +581,6 @@ fn norm2(v: &[f64]) -> f64 {
     dot(v, v).sqrt()
 }
 
-fn normalize(v: &mut [f64]) {
-    let total: f64 = v.iter().sum();
-    if total > 0.0 {
-        v.iter_mut().for_each(|x| *x /= total);
-    }
-}
-
 /// Clamps the tiny negative entries a Krylov least-squares solution may carry
 /// (at residual scale) and renormalises to a probability vector.
 fn clamp_normalize(v: &mut [f64]) {
@@ -679,10 +598,9 @@ mod tests {
     use crate::markov::{Ctmc, CtmcBuilder};
     use crate::steady_state::SteadyStateSolver;
 
-    const METHODS: [OperatorSteadyStateMethod; 3] = [
+    const METHODS: [OperatorSteadyStateMethod; 2] = [
         OperatorSteadyStateMethod::Krylov,
         OperatorSteadyStateMethod::Jacobi,
-        OperatorSteadyStateMethod::Power,
     ];
 
     fn two_state(lambda: f64, mu: f64) -> Ctmc {
@@ -858,22 +776,14 @@ mod tests {
     #[test]
     fn iteration_cap_produces_not_converged() {
         let chain = two_state(1.0, 3.0);
-        for method in [
-            OperatorSteadyStateMethod::Jacobi,
-            OperatorSteadyStateMethod::Power,
-        ] {
-            let result =
-                OperatorSteadyStateSolver::new(chain.rate_matrix(), chain.exit_rates().to_vec())
-                    .unwrap()
-                    .method(method)
-                    .max_iterations(1)
-                    .tolerance(1e-16)
-                    .solve();
-            assert!(
-                matches!(result, Err(CtmcError::NotConverged { .. })),
-                "{method:?}"
-            );
-        }
+        let result =
+            OperatorSteadyStateSolver::new(chain.rate_matrix(), chain.exit_rates().to_vec())
+                .unwrap()
+                .method(OperatorSteadyStateMethod::Jacobi)
+                .max_iterations(1)
+                .tolerance(1e-16)
+                .solve();
+        assert!(matches!(result, Err(CtmcError::NotConverged { .. })));
         // Krylov needs at least the initial residual apply plus one Arnoldi
         // step; a one-apply budget cannot converge from a bad start.
         let result =
@@ -894,10 +804,6 @@ mod tests {
         assert_eq!(
             OperatorSteadyStateMethod::Jacobi.tier_name(),
             "jacobi-operator"
-        );
-        assert_eq!(
-            OperatorSteadyStateMethod::Power.tier_name(),
-            "power-operator"
         );
     }
 }

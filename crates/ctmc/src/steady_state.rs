@@ -9,7 +9,6 @@
 //! operator `S=? [ phi ]` evaluates.
 
 use arcade_telemetry::Recorder;
-use serde::{Deserialize, Serialize};
 
 use crate::error::CtmcError;
 use crate::exec::ExecOptions;
@@ -18,34 +17,13 @@ use crate::markov::{Ctmc, StateIndex};
 use crate::sparse::{SparseMatrix, SparseMatrixBuilder};
 use crate::{DEFAULT_MAX_ITERATIONS, DEFAULT_TOLERANCE};
 
-/// Iterative method used for the local steady-state solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SteadyStateMethod {
-    /// Gauss–Seidel iteration on the balance equations (default; fastest).
-    #[default]
-    GaussSeidel,
-    /// Jacobi iteration on the balance equations.
-    Jacobi,
-    /// Power iteration on the uniformised DTMC.
-    Power,
-}
-
-impl SteadyStateMethod {
-    /// Stable identifier used in probe series, logs and JSON reports.
-    pub fn tier_name(&self) -> &'static str {
-        match self {
-            SteadyStateMethod::GaussSeidel => "gauss-seidel",
-            SteadyStateMethod::Jacobi => "damped-jacobi",
-            SteadyStateMethod::Power => "power",
-        }
-    }
-}
+/// Name of the residual probe series a Gauss–Seidel solve records.
+const PROBE_TIER: &str = "gauss-seidel";
 
 /// Steady-state solver for labelled CTMCs.
 #[derive(Debug, Clone)]
 pub struct SteadyStateSolver<'a> {
     chain: &'a Ctmc,
-    method: SteadyStateMethod,
     tolerance: f64,
     max_iterations: usize,
     exec: ExecOptions,
@@ -54,12 +32,15 @@ pub struct SteadyStateSolver<'a> {
 }
 
 impl<'a> SteadyStateSolver<'a> {
-    /// Creates a solver with the default method (Gauss–Seidel) and tolerances.
-    /// Telemetry defaults to the ambient [`Recorder::current`] scope.
+    /// Stable identifier of this solver in daemon replies, service counters
+    /// and JSON reports: Gauss–Seidel on a materialised chain.
+    pub const TIER_NAME: &'static str = "gs-materialised";
+
+    /// Creates a Gauss–Seidel solver with the default tolerances. Telemetry
+    /// defaults to the ambient [`Recorder::current`] scope.
     pub fn new(chain: &'a Ctmc) -> Self {
         SteadyStateSolver {
             chain,
-            method: SteadyStateMethod::default(),
             tolerance: DEFAULT_TOLERANCE,
             max_iterations: DEFAULT_MAX_ITERATIONS,
             exec: ExecOptions::default(),
@@ -75,25 +56,17 @@ impl<'a> SteadyStateSolver<'a> {
         self
     }
 
-    /// Selects the iterative method.
-    pub fn method(mut self, method: SteadyStateMethod) -> Self {
-        self.method = method;
-        self
-    }
-
-    /// Selects the worker pool used by the row-parallel sweeps (Jacobi and
-    /// power iteration) and by the residual-norm computation of every method.
+    /// Selects the worker pool used by the balance-residual computation.
     ///
     /// Gauss–Seidel *sweeps* cannot shard: row `s` of a sweep reads the
     /// already-updated values of rows `< s` from the same sweep (that forward
-    /// substitution is exactly why GS converges in fewer sweeps than Jacobi),
-    /// so splitting the sweep across workers would either change the iterates
+    /// substitution is exactly why GS converges in few sweeps), so splitting
+    /// the sweep across workers would either change the iterates
     /// (block-Jacobi hybrid, different fixed-point trajectory and thus
     /// thread-count-dependent results) or serialise on a dependency chain the
-    /// length of the state space. The GS path therefore keeps its sweep
-    /// serial and shards only the embarrassingly parallel residual norm; the
-    /// sharded sweeps of Jacobi/power accumulate each row independently,
-    /// exactly as the serial code does. The knob never changes results.
+    /// length of the state space. The sweep therefore stays serial and only
+    /// the embarrassingly parallel residual norm shards. The knob never
+    /// changes results.
     pub fn exec(mut self, exec: ExecOptions) -> Self {
         self.exec = exec;
         self
@@ -155,17 +128,7 @@ impl<'a> SteadyStateSolver<'a> {
     fn solve_counted_inner(&self) -> Result<(Vec<f64>, usize), CtmcError> {
         let n = self.chain.num_states();
         if let Some(guess) = &self.initial_guess {
-            if guess.len() != n {
-                return Err(CtmcError::DimensionMismatch {
-                    expected: n,
-                    actual: guess.len(),
-                });
-            }
-            if guess.iter().any(|&g| !g.is_finite() || g < 0.0) {
-                return Err(CtmcError::InvalidArgument {
-                    reason: "initial guess must be nonnegative and finite".to_string(),
-                });
-            }
+            validate_guess(guess, n)?;
         }
         let bsccs = bottom_sccs(self.chain);
 
@@ -285,11 +248,7 @@ impl<'a> SteadyStateSolver<'a> {
         }
         let local_rates = builder.build();
         let start = self.local_start(subset);
-        let (local_pi, iterations) = match self.method {
-            SteadyStateMethod::GaussSeidel => self.gauss_seidel(&local_rates, start)?,
-            SteadyStateMethod::Jacobi => self.jacobi(&local_rates, start)?,
-            SteadyStateMethod::Power => self.power(&local_rates, start)?,
-        };
+        let (local_pi, iterations) = self.gauss_seidel(&local_rates, start)?;
 
         let mut pi = vec![0.0; n];
         for (li, &s) in subset.iter().enumerate() {
@@ -327,9 +286,7 @@ impl<'a> SteadyStateSolver<'a> {
         let incoming = rates.transpose();
         let mut pi = start;
         let m = pi.len();
-        let mut probe = self
-            .recorder
-            .probe("residual", SteadyStateMethod::GaussSeidel.tier_name());
+        let mut probe = self.recorder.probe("residual", PROBE_TIER);
 
         for iteration in 0..self.max_iterations {
             let mut max_delta: f64 = 0.0;
@@ -358,119 +315,6 @@ impl<'a> SteadyStateSolver<'a> {
             solver: "gauss-seidel steady-state",
             iterations: self.max_iterations,
             residual: self.residual(&incoming, &exit, &pi),
-        })
-    }
-
-    /// Damped Jacobi iteration on the balance equations. Damping (averaging the
-    /// update with the previous iterate) prevents the oscillation Jacobi is
-    /// prone to on nearly-periodic chains.
-    fn jacobi(
-        &self,
-        rates: &SparseMatrix,
-        start: Vec<f64>,
-    ) -> Result<(Vec<f64>, usize), CtmcError> {
-        let m = rates.num_rows();
-        let exit: Vec<f64> = rates.row_sums();
-        let incoming = rates.transpose();
-        let mut pi = start;
-        let mut next = vec![0.0; m];
-
-        // Every row of a Jacobi sweep reads only the previous iterate, so the
-        // sweep shards across workers row-range-wise; per-row accumulation is
-        // untouched and the iterates are bit-identical to the serial sweep.
-        let workers = self.exec.workers_for(incoming.num_entries()).min(m.max(1));
-        let mut probe = self
-            .recorder
-            .probe("residual", SteadyStateMethod::Jacobi.tier_name());
-
-        for iteration in 0..self.max_iterations {
-            let max_delta = if workers <= 1 {
-                jacobi_sweep(&incoming, &exit, &pi, 0, &mut next)
-            } else {
-                let chunk = crate::exec::chunk_len(m, workers);
-                let mut delta = 0.0f64;
-                std::thread::scope(|scope| {
-                    let pi_ref = &pi;
-                    let exit_ref = &exit;
-                    let incoming_ref = &incoming;
-                    let handles: Vec<_> = next
-                        .chunks_mut(chunk)
-                        .enumerate()
-                        .map(|(i, shard)| {
-                            scope.spawn(move || {
-                                jacobi_sweep(incoming_ref, exit_ref, pi_ref, i * chunk, shard)
-                            })
-                        })
-                        .collect();
-                    for handle in handles {
-                        delta = delta.max(handle.join().expect("no worker panicked"));
-                    }
-                });
-                delta
-            };
-            probe.record(max_delta);
-            std::mem::swap(&mut pi, &mut next);
-            normalize(&mut pi);
-            if max_delta < self.tolerance {
-                return Ok((pi, iteration + 1));
-            }
-        }
-        Err(CtmcError::NotConverged {
-            solver: "jacobi steady-state",
-            iterations: self.max_iterations,
-            residual: self.residual(&incoming, &exit, &pi),
-        })
-    }
-
-    /// Power iteration on the uniformised DTMC `P = I + Q / q`.
-    ///
-    /// Each iteration is a single matrix pass: the successive-iterate norm is
-    /// folded into the sharded multiply (per-shard partial maxima merged with
-    /// `f64::max`, so it is bit-identical for every thread count — see
-    /// [`SparseMatrix::left_multiply_delta_exec`]) instead of re-walking the
-    /// two iterate vectors afterwards. The delta is measured before the
-    /// normalisation step; `P` is stochastic, so the iterate's mass is
-    /// already `1` up to rounding and the stopping criterion is unchanged at
-    /// tolerance scale. The damped-Jacobi sweep ([`jacobi_sweep`]) has always
-    /// folded its norm into the sweep the same way.
-    fn power(&self, rates: &SparseMatrix, start: Vec<f64>) -> Result<(Vec<f64>, usize), CtmcError> {
-        let m = rates.num_rows();
-        let exit: Vec<f64> = rates.row_sums();
-        let q = exit.iter().copied().fold(0.0, f64::max) * 1.02;
-        if q <= 0.0 {
-            return Ok((vec![1.0 / m as f64; m], 0));
-        }
-        let mut builder = SparseMatrixBuilder::new(m, m);
-        for (s, &exit_rate) in exit.iter().enumerate() {
-            let (cols, values) = rates.row(s);
-            for (c, v) in cols.iter().zip(values.iter()) {
-                builder.push(s, *c, *v / q);
-            }
-            let stay = 1.0 - exit_rate / q;
-            if stay != 0.0 {
-                builder.push(s, s, stay);
-            }
-        }
-        let p = builder.build();
-
-        let mut pi = start;
-        let mut next = vec![0.0; m];
-        let mut probe = self
-            .recorder
-            .probe("residual", SteadyStateMethod::Power.tier_name());
-        for iteration in 0..self.max_iterations {
-            let max_delta = p.left_multiply_delta_exec(&pi, &mut next, &self.exec)?;
-            probe.record(max_delta);
-            std::mem::swap(&mut pi, &mut next);
-            normalize(&mut pi);
-            if max_delta < self.tolerance {
-                return Ok((pi, iteration + 1));
-            }
-        }
-        Err(CtmcError::NotConverged {
-            solver: "power steady-state",
-            iterations: self.max_iterations,
-            residual: 0.0,
         })
     }
 
@@ -559,45 +403,29 @@ impl<'a> SteadyStateSolver<'a> {
     }
 }
 
-/// One damped-Jacobi sweep over the rows `start..start + next.len()`,
-/// writing the damped update into `next` and returning the shard's maximum
-/// undamped change (the convergence criterion; `f64::max` over shards is
-/// order-independent, so the sharded sweep converges after exactly the same
-/// iteration count as the serial one).
-fn jacobi_sweep(
-    incoming: &SparseMatrix,
-    exit: &[f64],
-    pi: &[f64],
-    start: usize,
-    next: &mut [f64],
-) -> f64 {
-    const DAMPING: f64 = 0.5;
-    let mut max_delta: f64 = 0.0;
-    for (offset, slot) in next.iter_mut().enumerate() {
-        let s = start + offset;
-        if exit[s] <= 0.0 {
-            *slot = pi[s];
-            continue;
-        }
-        let (cols, values) = incoming.row(s);
-        let mut inflow = 0.0;
-        for (c, v) in cols.iter().zip(values.iter()) {
-            if *c != s {
-                inflow += pi[*c] * v;
-            }
-        }
-        let updated = inflow / exit[s];
-        *slot = DAMPING * updated + (1.0 - DAMPING) * pi[s];
-        max_delta = max_delta.max((updated - pi[s]).abs());
-    }
-    max_delta
-}
-
 fn local_states(full: &[f64], subset: &[StateIndex]) -> Vec<f64> {
     subset.iter().map(|&s| full[s]).collect()
 }
 
-fn normalize(v: &mut [f64]) {
+/// Rejects an initial guess of the wrong length or with negative or
+/// non-finite entries (shared by the materialised and operator solvers).
+pub(crate) fn validate_guess(guess: &[f64], n: usize) -> Result<(), CtmcError> {
+    if guess.len() != n {
+        return Err(CtmcError::DimensionMismatch {
+            expected: n,
+            actual: guess.len(),
+        });
+    }
+    if guess.iter().any(|&g| !g.is_finite() || g < 0.0) {
+        return Err(CtmcError::InvalidArgument {
+            reason: "initial guess must be nonnegative and finite".to_string(),
+        });
+    }
+    Ok(())
+}
+
+/// Scales `v` to unit mass; a zero vector stays zero.
+pub(crate) fn normalize(v: &mut [f64]) {
     let total: f64 = v.iter().sum();
     if total > 0.0 {
         v.iter_mut().for_each(|x| *x /= total);
@@ -616,26 +444,25 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Irreducible ring chain with shortcut chords, large enough (4,400
+    /// entries) to clear the parallel-work threshold.
+    fn ring_chain(n: usize) -> Ctmc {
+        let mut b = CtmcBuilder::new(n);
+        for s in 0..n {
+            b.add_transition(s, (s + 1) % n, 1.0 + (s % 5) as f64)
+                .unwrap();
+            b.add_transition(s, (s + n / 2 + s % 7) % n, 2.0).unwrap();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
     fn two_state_steady_state_closed_form() {
         let chain = two_state(0.002, 0.2);
-        for method in [
-            SteadyStateMethod::GaussSeidel,
-            SteadyStateMethod::Jacobi,
-            SteadyStateMethod::Power,
-        ] {
-            let pi = SteadyStateSolver::new(&chain)
-                .method(method)
-                .solve()
-                .unwrap();
-            let expected_down = 0.002 / 0.202;
-            assert!(
-                (pi[1] - expected_down).abs() < 1e-8,
-                "{method:?}: {}",
-                pi[1]
-            );
-            assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        }
+        let pi = SteadyStateSolver::new(&chain).solve().unwrap();
+        let expected_down = 0.002 / 0.202;
+        assert!((pi[1] - expected_down).abs() < 1e-8, "{}", pi[1]);
+        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -736,60 +563,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_sweeps_are_bit_identical_to_serial() {
-        // A birth–death chain large enough to clear the parallel-work
-        // threshold: the Jacobi and power iterates are sharded row-wise, so
-        // every thread count must converge after the same number of sweeps to
-        // exactly the same vector.
-        // A ring with shortcut chords mixes in few sweeps, keeping the test
-        // fast while the entry count clears the parallel-work threshold.
-        let n = 2200;
-        let mut b = CtmcBuilder::new(n);
-        for s in 0..n {
-            b.add_transition(s, (s + 1) % n, 1.0 + (s % 5) as f64)
-                .unwrap();
-            b.add_transition(s, (s + n / 2 + s % 7) % n, 2.0).unwrap();
-        }
-        let chain = b.build().unwrap();
-        for method in [SteadyStateMethod::Jacobi, SteadyStateMethod::Power] {
-            let reference = SteadyStateSolver::new(&chain)
-                .method(method)
-                .tolerance(1e-6)
-                .exec(ExecOptions::serial())
-                .solve()
-                .unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let parallel = SteadyStateSolver::new(&chain)
-                    .method(method)
-                    .tolerance(1e-6)
-                    .exec(ExecOptions::with_threads(threads))
-                    .solve()
-                    .unwrap();
-                assert_eq!(parallel, reference, "{method:?}, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
     fn warm_start_reaches_the_same_fixed_point() {
         let chain = two_state(0.002, 0.2);
         let cold = SteadyStateSolver::new(&chain).solve().unwrap();
-        for method in [
-            SteadyStateMethod::GaussSeidel,
-            SteadyStateMethod::Jacobi,
-            SteadyStateMethod::Power,
-        ] {
-            // Warm-starting from the answer, from a bad guess and from a
-            // zero-mass guess (uniform fallback) must all land on the fixed
-            // point; the guess changes only the trajectory.
-            for guess in [cold.clone(), vec![0.9, 0.1], vec![0.0, 0.0]] {
-                let warm = SteadyStateSolver::new(&chain)
-                    .method(method)
-                    .initial_guess(guess)
-                    .solve()
-                    .unwrap();
-                assert!((warm[1] - cold[1]).abs() < 1e-8, "{method:?}: {}", warm[1]);
-            }
+        // Warm-starting from the answer, from a bad guess and from a
+        // zero-mass guess (uniform fallback) must all land on the fixed
+        // point; the guess changes only the trajectory.
+        for guess in [cold.clone(), vec![0.9, 0.1], vec![0.0, 0.0]] {
+            let warm = SteadyStateSolver::new(&chain)
+                .initial_guess(guess)
+                .solve()
+                .unwrap();
+            assert!((warm[1] - cold[1]).abs() < 1e-8, "{}", warm[1]);
         }
         // Invalid guesses are rejected up front.
         assert!(SteadyStateSolver::new(&chain)
@@ -808,18 +593,50 @@ mod tests {
         let pi = SteadyStateSolver::new(&chain).solve().unwrap();
         let solver = SteadyStateSolver::new(&chain);
         assert!(solver.balance_residual(&pi).unwrap() < 1e-10);
-        // A non-stationary vector has a visible residual, identically for
-        // every thread count.
-        let reference = solver.balance_residual(&[0.5, 0.5]).unwrap();
-        assert!(reference > 1e-3);
-        for threads in [2usize, 4, 8] {
-            let sharded = SteadyStateSolver::new(&chain)
-                .exec(ExecOptions::with_threads(threads))
-                .balance_residual(&[0.5, 0.5])
-                .unwrap();
-            assert_eq!(sharded, reference);
-        }
+        assert!(solver.balance_residual(&[0.5, 0.5]).unwrap() > 1e-3);
         assert!(solver.balance_residual(&[1.0]).is_err());
+
+        // On a large ring the residual still separates the stationary vector
+        // from a skewed one.
+        let ring = ring_chain(2200);
+        let solver = SteadyStateSolver::new(&ring).exec(ExecOptions::serial());
+        let pi = solver.solve().unwrap();
+        let skewed: Vec<f64> = (0..2200).map(|s| (1 + s % 3) as f64 / 4400.0).collect();
+        let certified = solver.balance_residual(&pi).unwrap();
+        let visible = solver.balance_residual(&skewed).unwrap();
+        assert!(certified < 1e-8, "{certified}");
+        assert!(visible > 1e-4, "{visible}");
+    }
+
+    #[test]
+    fn sharded_sweeps_are_bit_identical_to_serial() {
+        // On a chain large enough to shard, the solve and the residual of
+        // both a stationary and a non-stationary vector are bit-identical at
+        // every thread count.
+        let ring = ring_chain(2200);
+        let serial = SteadyStateSolver::new(&ring).exec(ExecOptions::serial());
+        let (pi, iterations) = serial.solve_counted().unwrap();
+        let skewed: Vec<f64> = (0..2200).map(|s| (1 + s % 3) as f64 / 4400.0).collect();
+        let certified = serial.balance_residual(&pi).unwrap();
+        let visible = serial.balance_residual(&skewed).unwrap();
+        for threads in [1usize, 2, 4, 8] {
+            let sharded = SteadyStateSolver::new(&ring).exec(ExecOptions::with_threads(threads));
+            assert_eq!(
+                sharded.solve_counted().unwrap(),
+                (pi.clone(), iterations),
+                "{threads} threads"
+            );
+            assert_eq!(
+                sharded.balance_residual(&pi).unwrap().to_bits(),
+                certified.to_bits(),
+                "{threads} threads"
+            );
+            assert_eq!(
+                sharded.balance_residual(&skewed).unwrap().to_bits(),
+                visible.to_bits(),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -857,44 +674,32 @@ mod tests {
 
     #[test]
     fn tier_names_are_stable() {
-        assert_eq!(SteadyStateMethod::GaussSeidel.tier_name(), "gauss-seidel");
-        assert_eq!(SteadyStateMethod::Jacobi.tier_name(), "damped-jacobi");
-        assert_eq!(SteadyStateMethod::Power.tier_name(), "power");
+        assert_eq!(SteadyStateSolver::TIER_NAME, "gs-materialised");
+        assert_eq!(PROBE_TIER, "gauss-seidel");
     }
 
     #[test]
     fn recorder_captures_solve_span_and_residual_series_without_changing_results() {
         let chain = two_state(0.002, 0.2);
         let plain = SteadyStateSolver::new(&chain).solve_counted().unwrap();
-        for method in [
-            SteadyStateMethod::GaussSeidel,
-            SteadyStateMethod::Jacobi,
-            SteadyStateMethod::Power,
-        ] {
-            let reference = SteadyStateSolver::new(&chain)
-                .method(method)
-                .solve_counted()
-                .unwrap();
-            let recorder = arcade_telemetry::Recorder::with_probes();
-            let traced = SteadyStateSolver::new(&chain)
-                .method(method)
-                .recorder(recorder.clone())
-                .solve_counted()
-                .unwrap();
-            assert_eq!(traced, reference, "{method:?}: tracing must not perturb");
-            assert_eq!(recorder.span_count("solve"), 1);
-            assert_eq!(
-                recorder.counter_total("solve", "iterations"),
-                reference.1 as u64
-            );
-            let series = recorder.series();
-            assert_eq!(series.len(), 1, "{method:?}: one residual series");
-            assert_eq!(series[0].kind, "residual");
-            assert_eq!(series[0].tier, method.tier_name());
-            assert_eq!(series[0].values.len(), reference.1);
-            let last = *series[0].values.last().unwrap();
-            assert!(last < 1e-8, "{method:?}: converged residual, got {last}");
-        }
+        let recorder = arcade_telemetry::Recorder::with_probes();
+        let traced = SteadyStateSolver::new(&chain)
+            .recorder(recorder.clone())
+            .solve_counted()
+            .unwrap();
+        assert_eq!(traced, plain, "tracing must not perturb");
+        assert_eq!(recorder.span_count("solve"), 1);
+        assert_eq!(
+            recorder.counter_total("solve", "iterations"),
+            plain.1 as u64
+        );
+        let series = recorder.series();
+        assert_eq!(series.len(), 1, "one residual series");
+        assert_eq!(series[0].kind, "residual");
+        assert_eq!(series[0].tier, PROBE_TIER);
+        assert_eq!(series[0].values.len(), plain.1);
+        let last = *series[0].values.last().unwrap();
+        assert!(last < 1e-8, "converged residual, got {last}");
         // The ambient default (no scope, no global) records nothing and the
         // result is bit-identical.
         let ambient = SteadyStateSolver::new(&chain).solve_counted().unwrap();

@@ -11,10 +11,9 @@ use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-const METHODS: [OperatorSteadyStateMethod; 3] = [
+const METHODS: [OperatorSteadyStateMethod; 2] = [
     OperatorSteadyStateMethod::Krylov,
     OperatorSteadyStateMethod::Jacobi,
-    OperatorSteadyStateMethod::Power,
 ];
 
 /// An irreducible ring chain with shortcut chords and deterministic

@@ -51,10 +51,11 @@
 //! `facility --k K0,K1,...` prints the **k-line reduction ladder**: for each
 //! homogeneous bank of `k` identical twin lines (strategy `--strategy`,
 //! default `ded`) the flat, product and orbit rungs and the availability from
-//! the cheapest exact tier — the joint solve on the materialised orbit fold
-//! where the product fits, the lazy orbit enumeration where only the orbit
-//! bound does (the flat k-product is never materialised), the counts-only
-//! product form beyond that. `facility --lines s0,s1,...` runs one
+//! the cheapest exact tier chosen by `arcade-core`'s availability planner —
+//! the matrix-free joint solve where the product fits, the lazy orbit
+//! enumeration where only the orbit bound does (the flat k-product is never
+//! materialised), the counts-only product form beyond that. The daemon's
+//! `availability` query runs the same planner. `facility --lines s0,s1,...` runs one
 //! heterogeneous bank through the same ladder via the registry spec
 //! `facility/s0+s1+...`.
 //!
@@ -706,11 +707,10 @@ fn run_kline(
         println!("{}", experiments::format_kline_reduction(&rows));
         println!(
             "Tiers: joint-solve runs the matrix-free Krylov solver on the Kronecker-sum\n\
-             operator by default (ARCADE_JOINT_SOLVER=materialise restores the legacy\n\
-             materialised Gauss-Seidel path on the orbit fold); orbit-enumeration walks\n\
-             the sorted multisets lazily under the product measure (the flat k-product\n\
-             is never materialised); product-form reports counts and\n\
-             1 - prod P(line down) only.\n"
+             operator (damped Jacobi if Krylov stalls); orbit-enumeration walks the\n\
+             sorted multisets lazily under the product measure; product-form reports\n\
+             counts and 1 - prod P(line down) only. No tier materialises the joint\n\
+             chain; the daemon's availability query runs the same planner.\n"
         );
     }
     Ok(())

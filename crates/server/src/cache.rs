@@ -15,8 +15,14 @@
 //!
 //! Entries also carry the model *family* (the spec minus its rate scale) and
 //! memoise their stationary distribution once solved;
-//! [`QuotientCache::warm_donor`] hands out a solved vector of a same-family,
-//! same-dimension sibling as the warm start for a rate-perturbed variant.
+//! [`QuotientCache::warm_donor`] hands out the solved vector of the
+//! earliest-inserted same-family, same-dimension sibling as the warm start
+//! for a rate-perturbed variant — deterministic, so a replay of the same
+//! queries warm-starts from the same donor and answers bit-identically.
+//!
+//! Facility availabilities need no artifact; the service memoises them and
+//! registers their spec keys with [`QuotientCache::touch_plan`], so they
+//! share the LRU order and capacity with the artifacts.
 //!
 //! The cache is **bounded**: [`QuotientCache::with_capacity`] caps the number
 //! of registered spec keys, evicting the least-recently-used spec (and any
@@ -35,6 +41,8 @@ use arcade_core::CompiledQuotient;
 pub struct CacheEntry {
     code: u64,
     family: String,
+    /// Insertion order (the cache tick at creation): picks the warm donor.
+    seq: u64,
     quotient: Arc<CompiledQuotient>,
     stationary: Mutex<Option<Arc<Vec<f64>>>>,
 }
@@ -66,19 +74,32 @@ impl CacheEntry {
     }
 }
 
+/// The spec keys evicted since the last [`QuotientCache::drain_evicted`].
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Evicted {
+    /// Evicted artifact spec keys.
+    pub specs: Vec<String>,
+    /// Presentation codes whose collision chains emptied with them.
+    pub codes: Vec<u64>,
+    /// Evicted facility-availability spec keys ([`QuotientCache::touch_plan`]).
+    pub plans: Vec<String>,
+}
+
 #[derive(Default)]
 struct CacheInner {
     /// Spec key → (entry, last-used tick). The tick drives the LRU order.
     by_spec: HashMap<String, (Arc<CacheEntry>, u64)>,
+    /// Spec keys of the service's memoised facility availabilities →
+    /// last-used tick, in the same LRU order as `by_spec`.
+    plans: HashMap<String, u64>,
     /// Collision chain per presentation code: distinct artifacts that share
     /// a code (expected length 1).
     by_code: HashMap<u64, Vec<Arc<CacheEntry>>>,
     /// Monotonic access clock backing the LRU order.
     tick: u64,
-    /// Evicted spec keys (and codes whose chains emptied) not yet drained by
-    /// [`QuotientCache::drain_evicted`] — the service uses them to release
-    /// its memoised computation slots.
-    pending_evictions: (Vec<String>, Vec<u64>),
+    /// Evictions not yet drained by [`QuotientCache::drain_evicted`] — the
+    /// service uses them to release its memoised computation slots.
+    pending_evictions: Evicted,
 }
 
 impl CacheInner {
@@ -87,28 +108,38 @@ impl CacheInner {
         self.tick
     }
 
-    /// Evicts least-recently-used specs until at most `capacity` remain,
-    /// then drops artifacts no surviving spec references. Returns the number
-    /// of spec keys evicted and records them (plus any code whose collision
-    /// chain emptied) for [`QuotientCache::drain_evicted`].
+    /// Evicts least-recently-used spec keys (artifacts and plans alike)
+    /// until at most `capacity` remain, then drops artifacts no surviving
+    /// spec references. Returns the number of spec keys evicted and records
+    /// them (plus any code whose collision chain emptied) for
+    /// [`QuotientCache::drain_evicted`].
     fn enforce_capacity(&mut self, capacity: usize) -> u64 {
         let mut evicted = 0u64;
-        while self.by_spec.len() > capacity {
-            let oldest = self
+        let mut artifacts_evicted = false;
+        while self.by_spec.len() + self.plans.len() > capacity {
+            let (_, is_plan, oldest) = self
                 .by_spec
                 .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(spec, _)| spec.clone())
+                .map(|(spec, (_, tick))| (*tick, false, spec))
+                .chain(self.plans.iter().map(|(spec, tick)| (*tick, true, spec)))
+                .min()
+                .map(|(tick, is_plan, spec)| (tick, is_plan, spec.clone()))
                 .expect("non-empty over capacity");
-            self.by_spec.remove(&oldest);
-            self.pending_evictions.0.push(oldest);
+            if is_plan {
+                self.plans.remove(&oldest);
+                self.pending_evictions.plans.push(oldest);
+            } else {
+                self.by_spec.remove(&oldest);
+                self.pending_evictions.specs.push(oldest);
+                artifacts_evicted = true;
+            }
             evicted += 1;
         }
-        if evicted > 0 {
+        if artifacts_evicted {
             // Garbage-collect artifacts that lost their last spec reference
             // so `warm_donor` never hands out vectors of evicted entries.
             let by_spec = &self.by_spec;
-            let emptied = &mut self.pending_evictions.1;
+            let emptied = &mut self.pending_evictions.codes;
             self.by_code.retain(|code, chain| {
                 chain.retain(|artifact| {
                     by_spec
@@ -163,10 +194,29 @@ impl QuotientCache {
 
     /// Takes the spec keys evicted since the last drain, plus the codes
     /// whose collision chains emptied with them. The service uses these to
-    /// release its memoised build/solve slots, so eviction actually frees
-    /// the artifact memory instead of leaving it pinned elsewhere.
-    pub fn drain_evicted(&self) -> (Vec<String>, Vec<u64>) {
+    /// release its memoised build/solve/plan slots, so eviction actually
+    /// frees the memory instead of leaving it pinned elsewhere.
+    pub fn drain_evicted(&self) -> Evicted {
         std::mem::take(&mut self.inner.lock().unwrap().pending_evictions)
+    }
+
+    /// Registers `spec` as a memoised facility availability, or refreshes
+    /// its LRU position. Plan keys count toward the capacity like artifact
+    /// specs; an evicted one shows up in [`Evicted::plans`].
+    pub fn touch_plan(&self, spec: &str) {
+        let mut inner = self.inner.lock().unwrap();
+        let tick = inner.next_tick();
+        inner.plans.insert(spec.to_string(), tick);
+        self.enforce(&mut inner);
+    }
+
+    fn enforce(&self, inner: &mut CacheInner) {
+        if let Some(capacity) = self.capacity {
+            let evicted = inner.enforce_capacity(capacity);
+            if evicted > 0 {
+                self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            }
+        }
     }
 
     /// The entry registered under a canonical spec string, if any. A hit
@@ -217,6 +267,7 @@ impl QuotientCache {
                 let entry = Arc::new(CacheEntry {
                     code,
                     family: family.to_string(),
+                    seq: tick,
                     quotient: Arc::new(quotient),
                     stationary: Mutex::new(None),
                 });
@@ -227,19 +278,15 @@ impl QuotientCache {
         inner
             .by_spec
             .insert(spec.to_string(), (Arc::clone(&entry), tick));
-        if let Some(capacity) = self.capacity {
-            let evicted = inner.enforce_capacity(capacity);
-            if evicted > 0 {
-                self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            }
-        }
+        self.enforce(&mut inner);
         (entry, shared)
     }
 
-    /// A solved stationary vector of a same-family entry with the given
-    /// state count, excluding `exclude_code` (the asking entry itself) — the
-    /// warm-start donor for a rate-perturbed variant. Dimensions are checked
-    /// here so the guess always fits the asking chain.
+    /// The solved stationary vector of the earliest-inserted same-family
+    /// entry with the given state count, excluding `exclude_code` (the
+    /// asking entry itself) — the warm-start donor for a rate-perturbed
+    /// variant. Dimensions are checked here so the guess always fits the
+    /// asking chain.
     pub fn warm_donor(
         &self,
         family: &str,
@@ -256,7 +303,9 @@ impl QuotientCache {
                     && entry.family == family
                     && entry.quotient.num_states() == states
             })
-            .find_map(|entry| entry.stationary())
+            .filter_map(|entry| Some((entry.seq, entry.stationary()?)))
+            .min_by_key(|(seq, _)| *seq)
+            .map(|(_, pi)| pi)
     }
 
     /// Number of distinct interned artifacts.
@@ -270,8 +319,9 @@ impl QuotientCache {
             .sum()
     }
 
-    /// Number of registered spec keys.
+    /// Number of registered spec keys (artifacts and plans).
     pub fn num_specs(&self) -> usize {
-        self.inner.lock().unwrap().by_spec.len()
+        let inner = self.inner.lock().unwrap();
+        inner.by_spec.len() + inner.plans.len()
     }
 }

@@ -60,6 +60,12 @@ pub struct AvailabilityReply {
     pub iterations: usize,
     /// Whether that solve was warm-started from a family sibling.
     pub warm_started: bool,
+    /// The availability planner's tier for facility specs (`joint-solve`,
+    /// `orbit-enumeration`, `product-form`); `None` for single lines.
+    pub tier: Option<String>,
+    /// The solver that ran (`gs-materialised`, `krylov-operator`, …), or
+    /// the tier name when the planner's tier runs no joint solver.
+    pub solver_tier: String,
 }
 
 /// A blocking connection to a running daemon. One request/response at a
@@ -148,6 +154,14 @@ impl Client {
             warm_started: field("warm_started")?
                 .as_bool()
                 .ok_or_else(|| ClientError::Protocol("`warm_started` must be a bool".into()))?,
+            tier: payload
+                .get("tier")
+                .and_then(Json::as_str)
+                .map(str::to_string),
+            solver_tier: field("solver_tier")?
+                .as_str()
+                .ok_or_else(|| ClientError::Protocol("`solver_tier` must be a string".into()))?
+                .to_string(),
         })
     }
 

@@ -13,6 +13,9 @@
 //! * **Warm-started solves** ([`service`]) — a rate-perturbed variant of an
 //!   already-solved chain starts Gauss–Seidel from the sibling's stationary
 //!   vector instead of uniform.
+//! * **Planned facility availability** ([`service`]) — facility specs are
+//!   answered by `arcade-core`'s availability planner, the same code the
+//!   CLI runs, without materialising the joint chain.
 //! * **Query coalescing** ([`coalesce`]) — concurrent identical queries
 //!   share one solve / one batched Fox–Glynn pass, and every waiter receives
 //!   bit-identical results.
@@ -34,7 +37,7 @@ pub mod server;
 pub mod service;
 pub mod stats;
 
-pub use cache::{CacheEntry, QuotientCache};
+pub use cache::{CacheEntry, Evicted, QuotientCache};
 pub use client::{AvailabilityReply, Client, ClientError};
 pub use coalesce::{Coalescer, Role};
 pub use json::Json;

@@ -17,19 +17,30 @@
 //! 3. warm-starts stationary solves from a solved same-family,
 //!    same-dimension sibling (a rate-perturbed variant of a chain already
 //!    solved), which shortens the Gauss–Seidel iteration without moving the
-//!    fixed point beyond solver tolerance.
+//!    fixed point beyond solver tolerance. The donor is the earliest-cached
+//!    solved sibling, so replies do not depend on query interleaving.
+//!
+//! Facility **availability** skips step 1: it runs the CLI's availability
+//! planner ([`FacilityAnalysis::planned_availability`]), which materialises
+//! nothing, memoised and coalesced per canonical spec (the spec key counts
+//! toward the cache capacity). The reply's `tier` and `solver_tier` name the
+//! code path that ran. Survivability, cost and simulate queries still run
+//! on the cached materialised quotient their transient analysis needs.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use arcade_core::{ArcadeError, ComposerOptions, ExecOptions};
+use arcade_core::{
+    ArcadeError, ComposerOptions, ExecOptions, FacilityAnalysis, PlannedAvailability,
+};
 use arcade_sim::{QuotientSimulator, SimulationOptions};
 use arcade_telemetry::Recorder;
+use ctmc::SteadyStateSolver;
 use watertreatment::ModelSpec;
 
-use crate::cache::{CacheEntry, QuotientCache};
+use crate::cache::{CacheEntry, Evicted, QuotientCache};
 use crate::coalesce::{Coalescer, Role};
 use crate::json::Json;
 use crate::protocol::{CostKind, Request, Response, SimMeasure};
@@ -78,6 +89,7 @@ pub struct AnalysisService {
     stats: ServiceStats,
     builds: Coalescer<String, Result<Arc<CacheEntry>, ArcadeError>>,
     stationary: Coalescer<u64, Result<StationarySolve, ArcadeError>>,
+    plans: Coalescer<String, Result<PlannedAvailability, ArcadeError>>,
     curves: Coalescer<CurveKey, Result<Vec<(f64, f64)>, ArcadeError>>,
     trace_dir: Option<PathBuf>,
     query_ids: AtomicU64,
@@ -106,6 +118,7 @@ impl AnalysisService {
             stats: ServiceStats::new(),
             builds: Coalescer::new(),
             stationary: Coalescer::new(),
+            plans: Coalescer::new(),
             curves: Coalescer::new(),
             trace_dir: None,
             query_ids: AtomicU64::new(0),
@@ -236,18 +249,23 @@ impl AnalysisService {
         }
     }
 
-    /// Steady-state availability of `model` (cached, coalesced,
-    /// warm-started).
+    /// Steady-state availability of `model`: planned for facilities (see the
+    /// module docs), a cached, coalesced, warm-started Gauss–Seidel solve of
+    /// the line quotient otherwise.
     ///
     /// # Errors
     ///
     /// Propagates spec, compilation and solver errors.
     pub fn availability(&self, model: &str) -> Result<Json, ArcadeError> {
+        let spec = ModelSpec::parse(model)?;
+        if spec.is_facility() {
+            return self.facility_availability(&spec);
+        }
         let entry = self.entry(model)?;
         let solve = self.stationary(&entry)?;
         let availability = entry.quotient().availability_of(&solve.pi);
         Ok(Json::object(vec![
-            ("model", Json::from(ModelSpec::parse(model)?.canonical())),
+            ("model", Json::from(spec.canonical())),
             ("availability", Json::Number(availability)),
             ("states", Json::from(entry.quotient().num_states())),
             (
@@ -256,9 +274,44 @@ impl AnalysisService {
             ),
             ("iterations", Json::from(solve.iterations)),
             ("warm_started", Json::Bool(solve.warm)),
-            // The daemon always solves the cached materialised quotient; the
-            // matrix-free tiers live in the facility experiments.
-            ("solver_tier", Json::from("gs-materialised")),
+            ("solver_tier", Json::from(SteadyStateSolver::TIER_NAME)),
+        ]))
+    }
+
+    /// The planned availability of a facility spec, memoised and coalesced
+    /// per canonical spec.
+    fn facility_availability(&self, spec: &ModelSpec) -> Result<Json, ArcadeError> {
+        let key = spec.canonical();
+        self.cache.touch_plan(&key);
+        let (result, role) = self.plans.run(key.clone(), || {
+            let model = spec
+                .facility_model()?
+                .expect("facility specs build facility models");
+            let planned = FacilityAnalysis::with_options(&model, self.composer_options())?
+                .planned_availability()?;
+            self.stats
+                .stationary_solve(false, planned.iterations.unwrap_or(0));
+            self.stats.tier_solve(planned.solver_or_tier());
+            Ok(planned)
+        });
+        match role {
+            Role::Leader => self.stats.cache_miss(),
+            Role::Follower => {
+                self.stats.cache_hit();
+                self.stats.coalesced();
+            }
+        }
+        self.reap_evictions();
+        let planned = result?;
+        Ok(Json::object(vec![
+            ("model", Json::from(key)),
+            ("availability", Json::Number(planned.availability)),
+            ("states", Json::from(planned.solved_states)),
+            ("source_states", Json::from(planned.joint_states)),
+            ("iterations", Json::from(planned.iterations.unwrap_or(0))),
+            ("warm_started", Json::Bool(false)),
+            ("tier", Json::from(planned.tier.name())),
+            ("solver_tier", Json::from(planned.solver_or_tier())),
         ]))
     }
 
@@ -438,13 +491,18 @@ impl AnalysisService {
     /// instead of leaving it pinned by the coalescers. A later query of an
     /// evicted spec recompiles and re-solves to bit-identical numbers.
     fn reap_evictions(&self) {
-        let (specs, codes) = self.cache.drain_evicted();
-        if specs.is_empty() && codes.is_empty() {
+        let evicted = self.cache.drain_evicted();
+        if evicted == Evicted::default() {
             return;
         }
-        self.builds.forget_matching(|spec| specs.contains(spec));
-        self.stationary.forget_matching(|code| codes.contains(code));
-        self.curves.forget_matching(|key| codes.contains(&key.code));
+        self.builds
+            .forget_matching(|spec| evicted.specs.contains(spec));
+        self.plans
+            .forget_matching(|spec| evicted.plans.contains(spec));
+        self.stationary
+            .forget_matching(|code| evicted.codes.contains(code));
+        self.curves
+            .forget_matching(|key| evicted.codes.contains(&key.code));
     }
 
     /// The (coalesced, memoised, warm-started) stationary solve of an
@@ -461,7 +519,7 @@ impl AnalysisService {
             entry.set_stationary(Arc::clone(&pi));
             let warm = donor.is_some();
             self.stats.stationary_solve(warm, iterations);
-            self.stats.tier_solve("gs-materialised");
+            self.stats.tier_solve(SteadyStateSolver::TIER_NAME);
             Ok(StationarySolve {
                 pi,
                 iterations,
@@ -544,7 +602,7 @@ mod tests {
         assert!(!payload.get("warm_started").unwrap().as_bool().unwrap());
         assert_eq!(
             payload.get("solver_tier").unwrap().as_str(),
-            Some("gs-materialised")
+            Some(SteadyStateSolver::TIER_NAME)
         );
         assert_eq!(service.stats().gs_materialised_solves, 1);
     }
@@ -674,6 +732,41 @@ mod tests {
         };
         let snapshot = StatsSnapshot::from_json(&wire).unwrap();
         assert_eq!(snapshot.evictions, capped.cache().evictions());
+    }
+
+    #[test]
+    fn facility_availability_runs_the_plan_memoised_within_the_cache_cap() {
+        // Bit-identity with the in-process plan is pinned by the
+        // `planner_agreement` tests; this one pins the memo and its bound.
+        let service = AnalysisService::with_cache_capacity(ExecOptions::serial(), 1);
+        let request = Request::Availability {
+            model: "facility/ded+ded".into(),
+        };
+        let first = service.handle(&request);
+        let Response::Ok(payload) = &first else {
+            panic!("query failed: {first:?}");
+        };
+        let tier = arcade_core::AvailabilityTier::JointSolve.name();
+        assert_eq!(payload.get("tier").and_then(Json::as_str), Some(tier));
+        assert_eq!(service.cache().num_artifacts(), 0, "nothing materialised");
+        assert_eq!(service.handle(&request), first, "the repeat rides the memo");
+        let stats = service.stats();
+        assert_eq!(
+            (stats.stationary_solves, stats.krylov_operator_solves),
+            (1, 1)
+        );
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+
+        // The memo counts toward the cap: another spec evicts it, and the
+        // re-query re-plans to the same bits.
+        let line = Request::Availability {
+            model: "line2/ded".into(),
+        };
+        assert!(matches!(service.handle(&line), Response::Ok(_)));
+        assert_eq!(service.cache().num_specs(), 1, "the cap holds");
+        assert_eq!(service.stats().evictions, 1);
+        assert_eq!(service.handle(&request), first);
+        assert_eq!(service.stats().stationary_solves, 3);
     }
 
     #[test]
@@ -818,7 +911,10 @@ mod tests {
         );
         assert_eq!(value_of("arcade_stationary_solves_total"), Some(1.0));
         assert_eq!(
-            value_of("arcade_tier_solves_total{tier=\"gs-materialised\"}"),
+            value_of(&format!(
+                "arcade_tier_solves_total{{tier=\"{}\"}}",
+                SteadyStateSolver::TIER_NAME
+            )),
             Some(1.0)
         );
         // The exposition agrees with the structured snapshot taken after it.

@@ -2,12 +2,13 @@
 //! (two *different* chains interned under the same 64-bit code) must keep
 //! both artifacts separate — sharing happens only after
 //! [`arcade_core::CompiledQuotient::identical`] confirms exact equality, so
-//! a hash collision can never poison the cache.
+//! a hash collision can never poison the cache. The warm-start donor is
+//! deterministic: the earliest-inserted solved sibling.
 
 use std::sync::Arc;
 
-use arcade_core::{CompiledQuotient, ComposerOptions};
-use arcade_server::QuotientCache;
+use arcade_core::{CompiledQuotient, ComposerOptions, ExecOptions};
+use arcade_server::{AnalysisService, QuotientCache, Request, Response};
 use watertreatment::ModelSpec;
 
 fn quotient_of(spec: &str) -> CompiledQuotient {
@@ -133,4 +134,59 @@ fn warm_donor_skips_the_asking_code_and_foreign_families() {
     assert!(cache.warm_donor("line2/ded", states, 2).is_some());
     // Dimension mismatches are filtered out before the guess can misfit.
     assert!(cache.warm_donor("line2/ded", states + 1, 2).is_none());
+}
+
+#[test]
+fn warm_donor_is_the_earliest_inserted_solved_sibling_in_any_solve_order() {
+    // Three same-family siblings inserted in one order, solved in two
+    // different orders: once the nominal entry (inserted first) is solved,
+    // it is the donor either way.
+    let specs = ["line2/ded", "line2/ded@1.02", "line2/ded@0.98"];
+    let donors: Vec<f64> = [[2usize, 0, 1], [1, 2, 0]]
+        .iter()
+        .map(|solve_order| {
+            let cache = QuotientCache::new();
+            let entries: Vec<_> = specs
+                .iter()
+                .map(|spec| cache.insert(spec, "line2/ded", quotient_of(spec)).0)
+                .collect();
+            let states = entries[0].quotient().num_states();
+            for &i in solve_order {
+                entries[i].set_stationary(Arc::new(vec![i as f64 + 1.0; states]));
+            }
+            cache.warm_donor("line2/ded", states, u64::MAX).unwrap()[0]
+        })
+        .collect();
+    assert_eq!(donors, [1.0, 1.0], "the nominal entry donates either way");
+}
+
+#[test]
+fn replies_are_bit_identical_whatever_order_the_siblings_were_solved_in() {
+    let last_reply = |order: [&str; 4]| {
+        let service = AnalysisService::new(ExecOptions::serial());
+        let mut replies: Vec<Response> = order
+            .iter()
+            .map(|spec| {
+                service.handle(&Request::Availability {
+                    model: spec.to_string(),
+                })
+            })
+            .collect();
+        assert!(replies.iter().all(|reply| matches!(reply, Response::Ok(_))));
+        replies.pop()
+    };
+    assert_eq!(
+        last_reply([
+            "line2/frf-1",
+            "line2/frf-1@1.02",
+            "line2/frf-1@0.97",
+            "line2/frf-1@1.05"
+        ]),
+        last_reply([
+            "line2/frf-1",
+            "line2/frf-1@0.97",
+            "line2/frf-1@1.02",
+            "line2/frf-1@1.05"
+        ])
+    );
 }

@@ -1,5 +1,5 @@
 //! End-to-end daemon tests over real TCP on an ephemeral port: responses
-//! are bit-identical to the in-process `FacilityAnalysis` path at every
+//! are bit-identical to the in-process `FacilityAnalysis` paths at every
 //! thread count, the warm cache answers repeats without recompiling or
 //! re-solving (asserted on the service's own counters, not wall-clock),
 //! the metrics exposition agrees with the stats snapshot, and concurrent
@@ -28,7 +28,8 @@ fn curves_bit_identical(served: &[(f64, f64)], reference: &[(f64, f64)]) -> bool
 }
 
 /// The daemon's DED×DED facility answers are bit-identical to the
-/// in-process `FacilityAnalysis` compiled-quotient path — at 1, 2, 4 and 8
+/// in-process `FacilityAnalysis` paths — the availability planner for
+/// availability, the compiled quotient for survivability — at 1, 2, 4 and 8
 /// worker threads (per thread count, daemon and reference share the same
 /// `ExecOptions`).
 #[test]
@@ -42,11 +43,7 @@ fn daemon_matches_in_process_facility_analysis_at_every_thread_count() {
             ..ComposerOptions::default()
         };
         let analysis = FacilityAnalysis::with_options(&model, options).unwrap();
-        let reference_availability = analysis
-            .compiled_quotient()
-            .unwrap()
-            .availability(exec)
-            .unwrap();
+        let reference_availability = analysis.planned_availability().unwrap();
         let reference_curve = analysis
             .survivability_curve(FACILITY_DISASTER_ALL_PUMPS, 1.0, &times)
             .unwrap();
@@ -56,11 +53,16 @@ fn daemon_matches_in_process_facility_analysis_at_every_thread_count() {
         let reply = client.availability("facility/ded+ded").unwrap();
         assert_eq!(
             reply.availability.to_bits(),
-            reference_availability.to_bits(),
+            reference_availability.availability.to_bits(),
             "threads={threads}: served {} vs in-process {}",
             reply.availability,
-            reference_availability
+            reference_availability.availability
         );
+        assert_eq!(
+            reply.tier.as_deref(),
+            Some(reference_availability.tier.name())
+        );
+        assert_eq!(reply.solver_tier, reference_availability.solver_or_tier());
         assert_eq!(reply.model, "facility/ded+ded");
         let served_curve = client
             .survivability("facility/ded+ded", FACILITY_DISASTER_ALL_PUMPS, 1.0, &times)
@@ -95,7 +97,7 @@ fn warm_cache_repeat_is_at_least_ten_times_faster_than_cold() {
     assert_eq!(cold.availability.to_bits(), warm.availability.to_bits());
     let stats = service.stats();
     assert_eq!(stats.cache_misses, 1, "only the cold query compiled");
-    assert_eq!(stats.cache_hits, 1, "the repeat hit the quotient cache");
+    assert_eq!(stats.cache_hits, 1, "the repeat hit the memo");
     assert_eq!(stats.stationary_solves, 1, "the repeat reused the solve");
     assert_eq!(stats.coalesced_queries, 1, "the repeat rode the memo");
     assert!(

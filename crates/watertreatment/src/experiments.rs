@@ -8,9 +8,10 @@
 //! comparable to the paper.
 
 use arcade_core::{
-    Analysis, ArcadeError, CompiledModel, ComposerOptions, ExecOptions, FacilityAnalysis,
-    JointAvailability, LumpingMode, Series,
+    Analysis, ArcadeError, AvailabilityTier, CompiledModel, ComposerOptions, ExecOptions,
+    FacilityAnalysis, LumpingMode, Series,
 };
+pub use arcade_core::{MAX_OPERATOR_PRODUCT, ORBIT_ENUMERATION_CAP};
 use ctmc::exec;
 use serde::{Deserialize, Serialize};
 
@@ -66,27 +67,25 @@ pub struct TableFacilityRow {
     pub line2: f64,
     /// Combined availability via the product form `A1 + A2 − A1·A2`.
     pub combined: f64,
-    /// Combined availability solved on the materialised joint chain.
+    /// Combined availability solved on the genuine joint chain (the
+    /// availability planner's joint-solve tier).
     pub joint: f64,
     /// `|combined − joint|`, the validation gap (≤ 1e-9 expected).
     pub difference: f64,
     /// Number of joint product blocks (`449 × 257` for FRF-1 × FRF-1).
     pub joint_blocks: usize,
-    /// Number of states the joint solve actually ran on: the sorted-tuple
-    /// orbit quotient when the two lines' chains are interchangeable, the
-    /// full product otherwise (always the latter for the paper's asymmetric
-    /// Line 1 × Line 2 pairs).
+    /// Number of states the joint solve actually ran on (the full product:
+    /// the matrix-free solve never reduces).
     #[serde(default)]
     pub solved_blocks: usize,
-    /// Matrix-free balance residual certifying the joint stationary vector.
+    /// Matrix-free balance residual certifying the joint stationary vector
+    /// (`NaN` if the planner fell back to the uncertified product form).
     pub residual: f64,
-    /// The solver engine that produced the joint column: `krylov-operator` /
-    /// `jacobi-operator` (matrix-free, the default) or `gs-materialised`
-    /// (`ARCADE_JOINT_SOLVER=materialise`).
+    /// The solver that produced the joint column: `krylov-operator`, or
+    /// `jacobi-operator` when Krylov stalled.
     #[serde(default)]
     pub solver_tier: String,
-    /// Iterations of the joint solve (operator applies for the matrix-free
-    /// engines, sweeps for Gauss–Seidel).
+    /// Operator applies of the joint solve.
     #[serde(default)]
     pub iterations: usize,
 }
@@ -137,10 +136,10 @@ pub struct KLineReductionRow {
     /// (`C(n + k − 1, k)` for k identical lines of n blocks), `None` when no
     /// two lines are interchangeable.
     pub orbit_blocks: Option<usize>,
-    /// States the joint availability was actually computed on: the
-    /// materialised solver chain (joint-solve tier) or the enumerated orbit
-    /// representatives (orbit-enumeration tier); `None` in the counts-only
-    /// product-form tier.
+    /// States the joint availability was actually computed on: the joint
+    /// product (joint-solve tier) or the enumerated orbit representatives
+    /// (orbit-enumeration tier); `None` in the counts-only product-form
+    /// tier.
     pub solved_blocks: Option<usize>,
     /// Facility availability via the product form `1 − Π P(line down)` —
     /// always computed, never materialises anything.
@@ -154,72 +153,15 @@ pub struct KLineReductionRow {
     /// Which tier evaluated the row: `joint-solve`, `orbit-enumeration` or
     /// `product-form`.
     pub tier: String,
-    /// The solver engine the joint-solve tier actually ran:
-    /// `krylov-operator` / `jacobi-operator` (matrix-free, the default) or
-    /// `gs-materialised` (`ARCADE_JOINT_SOLVER=materialise`); `None` outside
-    /// the joint-solve tier.
+    /// The solver the joint-solve tier actually ran: `krylov-operator`, or
+    /// `jacobi-operator` when Krylov stalled; `None` outside the joint-solve
+    /// tier.
     #[serde(default)]
     pub solver: Option<String>,
-    /// Iterations the joint solve spent — operator applies for the
-    /// matrix-free engines, sweeps for Gauss–Seidel; `None` outside the
+    /// Operator applies the joint solve spent; `None` outside the
     /// joint-solve tier.
     #[serde(default)]
     pub iterations: Option<usize>,
-}
-
-/// Largest orbit bound the enumeration tier of the k-sweep walks
-/// (`facility/ded^4` needs 3,764,376 visits and fits; `ded^8` at
-/// `C(103, 8) ≈ 3.2 × 10¹¹` falls back to the counts-only product form).
-pub const ORBIT_ENUMERATION_CAP: usize = 8_000_000;
-
-/// Largest per-line quotient product the **matrix-free** joint-solve tier
-/// accepts. The operator solver holds a handful of product-length vectors
-/// instead of the product's transition matrix, so its ceiling sits well above
-/// [`ModelSpec::MAX_MATERIALISED_PRODUCT`] (1.5M): everything up to 8M joint
-/// states is solved exactly on the Kronecker-sum operator without
-/// materialising a single joint transition.
-pub const MAX_OPERATOR_PRODUCT: usize = 8_000_000;
-
-/// Which engine the joint-solve tier runs (`ARCADE_JOINT_SOLVER`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JointSolverMode {
-    /// Matrix-free: hand the Kronecker-sum operator to the Krylov solver
-    /// (damped-Jacobi fallback), never materialising the joint chain. The
-    /// default; the tier cutoff is [`MAX_OPERATOR_PRODUCT`].
-    #[default]
-    Operator,
-    /// Legacy path: materialise the joint chain (the orbit fold under factor
-    /// symmetry) and Gauss–Seidel it; cutoff
-    /// [`ModelSpec::MAX_MATERIALISED_PRODUCT`].
-    Materialise,
-}
-
-impl JointSolverMode {
-    /// Reads `ARCADE_JOINT_SOLVER`: `materialise` (or `materialize` / `gs`)
-    /// forces the legacy materialised path, anything else — including unset —
-    /// selects the matrix-free operator path.
-    pub fn from_env() -> Self {
-        match std::env::var("ARCADE_JOINT_SOLVER").as_deref() {
-            Ok("materialise") | Ok("materialize") | Ok("gs") => Self::Materialise,
-            _ => Self::Operator,
-        }
-    }
-
-    /// The largest joint product this mode's joint-solve tier accepts.
-    pub fn joint_cutoff(self) -> usize {
-        match self {
-            Self::Operator => MAX_OPERATOR_PRODUCT,
-            Self::Materialise => ModelSpec::MAX_MATERIALISED_PRODUCT,
-        }
-    }
-
-    /// Solves the joint availability of one analysis with this mode's engine.
-    fn solve_joint(self, analysis: &FacilityAnalysis) -> Result<JointAvailability, ArcadeError> {
-        match self {
-            Self::Operator => analysis.matrix_free_steady_state_availability(),
-            Self::Materialise => analysis.joint_steady_state_availability(),
-        }
-    }
 }
 
 /// A reproduced figure: a set of named `(time, value)` series.
@@ -828,8 +770,9 @@ pub fn pair_label(pair: &(StrategySpec, StrategySpec)) -> String {
 /// Reproduces the **two-line facility table**: for every strategy pair, the
 /// per-line availabilities, the combined availability via the paper's
 /// `A = A1 + A2 − A1·A2`, and the same quantity solved on the **genuine
-/// joint chain** — the materialised Line 1 × Line 2 product of the per-line
-/// quotients (449 × 257 blocks for FRF-1 × FRF-1). The `difference` column
+/// joint chain** — the Line 1 × Line 2 product of the per-line quotients
+/// (449 × 257 blocks for FRF-1 × FRF-1), solved matrix-free by the
+/// availability planner's joint-solve tier. The `difference` column
 /// is the validation gap; the `residual` column is the matrix-free
 /// Kronecker-sum balance certificate of the joint stationary vector.
 ///
@@ -841,8 +784,8 @@ pub fn table_facility() -> Result<Vec<TableFacilityRow>, ArcadeError> {
 }
 
 /// [`table_facility`] for explicit strategy pairs on an explicit worker pool
-/// (pairs swept across workers; each joint materialisation additionally
-/// shards internally).
+/// (pairs swept across workers; each joint solve additionally shards its
+/// operator applies).
 ///
 /// # Errors
 ///
@@ -851,29 +794,26 @@ pub fn table_facility_with(
     pairs: &[(StrategySpec, StrategySpec)],
     exec: ExecOptions,
 ) -> Result<Vec<TableFacilityRow>, ArcadeError> {
-    let mode = JointSolverMode::from_env();
     exec::map_ordered(pairs, exec, |pair| {
         let model = facility::facility_model(&pair.0, &pair.1)?;
         let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
-        facility_table_row(pair_label(pair), &analysis, mode)
+        facility_table_row(pair_label(pair), &analysis)
     })
     .into_iter()
     .collect()
 }
 
 /// The facility table row of one already-compiled analysis. The joint column
-/// comes from the engine `mode` selects: the matrix-free operator solve (the
-/// default — the `449 × 257` FRF-1 × FRF-1 product is never materialised) or
-/// the legacy materialised Gauss–Seidel path.
+/// comes from the availability planner (the `449 × 257` FRF-1 × FRF-1
+/// product is solved matrix-free, never materialised).
 fn facility_table_row(
     label: String,
     analysis: &FacilityAnalysis,
-    mode: JointSolverMode,
 ) -> Result<TableFacilityRow, ArcadeError> {
     let line1 = analysis.line_availability(0)?;
     let line2 = analysis.line_availability(1)?;
     let combined = analysis.steady_state_availability()?;
-    let joint = mode.solve_joint(analysis)?;
+    let joint = analysis.planned_availability()?;
     Ok(TableFacilityRow {
         pair: label,
         line1,
@@ -883,17 +823,18 @@ fn facility_table_row(
         difference: (combined - joint.availability).abs(),
         joint_blocks: joint.joint_states,
         solved_blocks: joint.solved_states,
-        residual: joint.residual,
-        solver_tier: joint.solver_tier,
-        iterations: joint.iterations,
+        residual: joint.certificate.unwrap_or(f64::NAN),
+        solver_tier: joint.solver_or_tier().to_string(),
+        iterations: joint.iterations.unwrap_or(0),
     })
 }
 
 /// Every figure and table of the facility evaluation, computed from **one
 /// [`FacilityAnalysis`] per strategy pair**: the availability validation
 /// table, both recovery figures and both cost figures share the compiled
-/// per-line chains, the cached materialised joint chain and the group
-/// stationary solves instead of rebuilding them per experiment.
+/// per-line chains, the cached materialised joint chain (for the transient
+/// figures) and the group stationary solves instead of rebuilding them per
+/// experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FacilitySuite {
     /// The combined-availability validation table.
@@ -922,12 +863,11 @@ pub fn facility_suite_with(
     exec: ExecOptions,
 ) -> Result<FacilitySuite, ArcadeError> {
     type PairOutput = (TableFacilityRow, (Series, Series), (Series, Series));
-    let mode = JointSolverMode::from_env();
     let outputs: Vec<PairOutput> = exec::map_ordered(pairs, exec, |pair| {
         let model = facility::facility_model(&pair.0, &pair.1)?;
         let analysis = FacilityAnalysis::with_options(&model, composer_options(exec))?;
         let label = pair_label(pair);
-        let row = facility_table_row(label.clone(), &analysis, mode)?;
+        let row = facility_table_row(label.clone(), &analysis)?;
         let recovery = (
             Series {
                 label: label.clone(),
@@ -1071,23 +1011,13 @@ pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
 
 /// One row of the k-line reduction ladder: builds the facility the spec
 /// names, reads the three rungs off the per-line quotients (no
-/// materialisation), then evaluates the availability on the cheapest exact
-/// tier that fits:
-///
-/// 1. **joint-solve** — the per-line quotient product is at most the
-///    [`JointSolverMode`]'s cutoff: solve the genuine joint chain. The
-///    default engine is the matrix-free operator solver (cutoff
-///    [`MAX_OPERATOR_PRODUCT`], nothing materialised);
-///    `ARCADE_JOINT_SOLVER=materialise` restores the legacy materialised
-///    Gauss–Seidel path (cutoff [`ModelSpec::MAX_MATERIALISED_PRODUCT`]).
-///    Either engine is certified by the Kronecker-sum balance residual;
-/// 2. **orbit-enumeration** — the product is too large but the orbit bound is
-///    at most [`ORBIT_ENUMERATION_CAP`]: walk the canonical multisets lazily
-///    under the stationary product measure
-///    ([`FacilityAnalysis::orbit_availability`]), certified by the
-///    accumulated total mass — the flat k-product is **never** materialised;
-/// 3. **product-form** — counts only, availability from
-///    `1 − Π P(line down)`.
+/// materialisation), then evaluates the availability with the availability
+/// planner ([`FacilityAnalysis::planned_availability`]) on the cheapest exact
+/// tier that fits: `joint-solve` (product ≤ [`MAX_OPERATOR_PRODUCT`],
+/// matrix-free, certified by the Kronecker-sum balance residual),
+/// `orbit-enumeration` (orbit bound ≤ [`ORBIT_ENUMERATION_CAP`], certified
+/// by the accumulated total mass) or `product-form` (counts only,
+/// availability from `1 − Π P(line down)`).
 ///
 /// # Errors
 ///
@@ -1095,20 +1025,6 @@ pub fn format_symmetry_reduction(rows: &[SymmetryReductionRow]) -> String {
 pub fn kline_reduction_row(
     spec: &ModelSpec,
     exec: ExecOptions,
-) -> Result<KLineReductionRow, ArcadeError> {
-    kline_reduction_row_with(spec, exec, JointSolverMode::from_env())
-}
-
-/// [`kline_reduction_row`] with an explicit joint-solve engine instead of the
-/// `ARCADE_JOINT_SOLVER` environment selection.
-///
-/// # Errors
-///
-/// Rejects single-line specs; propagates composition and solver errors.
-pub fn kline_reduction_row_with(
-    spec: &ModelSpec,
-    exec: ExecOptions,
-    mode: JointSolverMode,
 ) -> Result<KLineReductionRow, ArcadeError> {
     let model = spec
         .facility_model()?
@@ -1132,46 +1048,21 @@ pub fn kline_reduction_row_with(
     }
 
     let availability = analysis.steady_state_availability()?;
-    let (tier, solved_blocks, joint_availability, certificate, solver, iterations) =
-        if stats.joint_blocks <= mode.joint_cutoff() {
-            let joint = mode.solve_joint(&analysis)?;
-            (
-                "joint-solve",
-                Some(joint.solved_states),
-                Some(joint.availability),
-                Some(joint.residual),
-                Some(joint.solver_tier),
-                Some(joint.iterations),
-            )
-        } else if stats
-            .orbit_blocks
-            .is_some_and(|bound| bound <= ORBIT_ENUMERATION_CAP)
-        {
-            let orbit = analysis.orbit_availability(ORBIT_ENUMERATION_CAP)?;
-            (
-                "orbit-enumeration",
-                Some(orbit.orbits_explored),
-                Some(orbit.availability),
-                Some((orbit.total_mass - 1.0).abs()),
-                None,
-                None,
-            )
-        } else {
-            ("product-form", None, None, None, None, None)
-        };
+    let planned = analysis.planned_availability()?;
+    let solved = planned.tier != AvailabilityTier::ProductForm;
     Ok(KLineReductionRow {
         k: model.lines().len(),
         facility: spec.canonical(),
         flat_states,
         product_blocks: stats.joint_blocks,
         orbit_blocks: stats.orbit_blocks,
-        solved_blocks,
+        solved_blocks: solved.then_some(planned.solved_states),
         availability,
-        joint_availability,
-        certificate,
-        tier: tier.to_string(),
-        solver,
-        iterations,
+        joint_availability: solved.then_some(planned.availability),
+        certificate: planned.certificate,
+        tier: planned.tier.name().to_string(),
+        solver: planned.solver,
+        iterations: planned.iterations,
     })
 }
 
@@ -1185,12 +1076,9 @@ pub fn kline_reduction_table(
     specs: &[ModelSpec],
     exec: ExecOptions,
 ) -> Result<Vec<KLineReductionRow>, ArcadeError> {
-    let mode = JointSolverMode::from_env();
-    exec::map_ordered(specs, exec, |spec| {
-        kline_reduction_row_with(spec, exec, mode)
-    })
-    .into_iter()
-    .collect()
+    exec::map_ordered(specs, exec, |spec| kline_reduction_row(spec, exec))
+        .into_iter()
+        .collect()
 }
 
 /// Renders k-line reduction rows as a plain-text table.
@@ -1658,14 +1546,12 @@ mod tests {
     #[test]
     fn kline_ladder_solves_the_twin_pair_on_both_engines() {
         // `facility/ded^2`: flat 512² = 262,144, product 96² = 9,216, orbit
-        // C(97, 2) = 4,656 — small enough for the joint-solve tier on either
-        // engine. The matrix-free default solves the full 9,216-state product
-        // on the Kronecker-sum operator; the materialised engine runs on the
+        // C(97, 2) = 4,656 — small enough for the joint-solve tier. The
+        // planner solves the full 9,216-state product on the Kronecker-sum
+        // operator; the materialised reference runs Gauss–Seidel on the
         // orbit fold. Both must agree with the product form.
         let spec = ModelSpec::parse("facility/ded^2").unwrap();
-        let row =
-            kline_reduction_row_with(&spec, ExecOptions::default(), JointSolverMode::Operator)
-                .unwrap();
+        let row = kline_reduction_row(&spec, ExecOptions::default()).unwrap();
         assert_eq!(row.k, 2);
         assert_eq!(row.facility, "facility/ded^2");
         assert_eq!(row.flat_states, 512 * 512);
@@ -1679,17 +1565,15 @@ mod tests {
         assert!((joint - row.availability).abs() <= 1e-9);
         assert!(row.certificate.unwrap() < 1e-9);
 
-        let materialised =
-            kline_reduction_row_with(&spec, ExecOptions::default(), JointSolverMode::Materialise)
-                .unwrap();
-        assert_eq!(materialised.tier, "joint-solve");
-        assert_eq!(materialised.solved_blocks, Some(96 * 97 / 2));
-        assert_eq!(materialised.solver.as_deref(), Some("gs-materialised"));
+        let quotient = spec.build_quotient(ComposerOptions::default()).unwrap();
+        assert_eq!(quotient.num_states(), 96 * 97 / 2);
+        let (pi, _) = quotient
+            .stationary_counted(None, ExecOptions::default())
+            .unwrap();
+        let materialised = quotient.availability_of(&pi);
         assert!(
-            (materialised.joint_availability.unwrap() - joint).abs() <= 1e-10,
-            "operator and materialised engines must agree: {} vs {}",
-            joint,
-            materialised.joint_availability.unwrap()
+            (materialised - joint).abs() <= 1e-10,
+            "operator and materialised engines must agree: {joint} vs {materialised}"
         );
     }
 

@@ -95,17 +95,6 @@ impl Line {
     pub fn both() -> [Line; 2] {
         [Line::Line1, Line::Line2]
     }
-
-    /// Parses a `--line` CLI argument into the paper's two lines: a thin
-    /// shim over [`LineSelection::from_arg`] resolved against the two-line
-    /// facility. Returns `None` for unparsable arguments *and* for
-    /// selections naming lines beyond the paper's two — callers that load
-    /// k-line models should use [`LineSelection`] directly, which keeps
-    /// out-of-range indices distinguishable from parse failures.
-    pub fn from_arg(arg: &str) -> Option<Vec<Line>> {
-        let lines = LineSelection::from_arg(arg)?.resolve(2).ok()?;
-        Some(lines.into_iter().map(|index| Line::both()[index]).collect())
-    }
 }
 
 /// A parsed `--line` CLI argument for models with any number of lines:
@@ -153,7 +142,7 @@ impl LineSelection {
     /// # Errors
     ///
     /// Returns a human-readable message when an index exceeds the loaded
-    /// model — the case `Line::from_arg` used to swallow as `None`.
+    /// model.
     pub fn resolve(&self, num_lines: usize) -> Result<Vec<usize>, String> {
         match self {
             LineSelection::All => Ok((0..num_lines).collect()),
@@ -595,17 +584,17 @@ mod tests {
 
     #[test]
     fn line_arguments_parse() {
-        assert_eq!(Line::from_arg("1"), Some(vec![Line::Line1]));
-        assert_eq!(Line::from_arg("LINE2"), Some(vec![Line::Line2]));
-        assert_eq!(Line::from_arg("both"), Some(Line::both().to_vec()));
-        // Beyond the paper's two lines the shim still yields None, but the
-        // general selection keeps the index: `--line 3` is now resolvable
-        // against any k-line model instead of being swallowed at parse time.
-        assert_eq!(Line::from_arg("3"), None);
+        let parse = |arg| LineSelection::from_arg(arg).map(|selection| selection.resolve(2));
+        assert_eq!(parse("1"), Some(Ok(vec![0])));
+        assert_eq!(parse("LINE2"), Some(Ok(vec![1])));
+        assert_eq!(parse("both"), Some(Ok(vec![0, 1])));
+        // `--line 3` parses to its index whatever the loaded model; resolving
+        // it against the paper's two lines is a reportable error.
         assert_eq!(
             LineSelection::from_arg("3"),
             Some(LineSelection::Indices(vec![3]))
         );
+        assert!(matches!(parse("3"), Some(Err(_))));
     }
 
     #[test]

@@ -231,9 +231,10 @@ impl ModelSpec {
     /// [`CompiledQuotient`] artifact. For facility specs this materialises
     /// the joint chain (the orbit fold under factor symmetry), so it is
     /// gated on the product size: specs whose per-line quotient product
-    /// exceeds [`ModelSpec::MAX_MATERIALISED_PRODUCT`] states are rejected
-    /// with a pointer at the orbit-enumeration tier, which answers
-    /// availability without ever materialising the flat k-product.
+    /// exceeds [`ModelSpec::MAX_MATERIALISED_PRODUCT`] states are rejected.
+    /// Facility availability never needs this artifact: the availability
+    /// planner ([`FacilityAnalysis::planned_availability`]) answers it
+    /// without materialising the joint chain.
     ///
     /// # Errors
     ///
@@ -256,8 +257,8 @@ impl ModelSpec {
                     return Err(ArcadeError::InvalidParameter {
                         reason: format!(
                             "model spec `{}`: the joint product has {product_blocks} states, \
-                             beyond the {} materialisation cap — query the orbit-enumeration \
-                             availability (`wt_experiments facility`) instead",
+                             beyond the {} materialisation cap for survivability, cost and \
+                             simulate queries (availability queries need no materialisation)",
                             self.canonical(),
                             Self::MAX_MATERIALISED_PRODUCT
                         ),
@@ -271,8 +272,8 @@ impl ModelSpec {
     /// Largest per-line quotient product (in joint states) that
     /// [`ModelSpec::build_quotient`] will materialise. `facility/ded^3`
     /// (96³ = 884,736 tuples, folded to 152,096 orbits) fits;
-    /// `facility/ded^4` (96⁴ ≈ 8.5×10⁷) does not and is served by the
-    /// enumeration tier.
+    /// `facility/ded^4` (96⁴ ≈ 8.5×10⁷) does not (its availability is
+    /// answered by the planner's orbit-enumeration tier).
     pub const MAX_MATERIALISED_PRODUCT: usize = 1_500_000;
 }
 

@@ -12,6 +12,7 @@
 //! * the shared facility suite matching the standalone experiment runners.
 
 use arcade_core::{ComposerOptions, ExecOptions, FacilityAnalysis};
+use ctmc::SteadyStateSolver;
 use watertreatment::experiments;
 use watertreatment::{facility, strategies, Line};
 
@@ -75,16 +76,21 @@ fn twin_facility_orbit_counts_are_pinned_across_thread_counts() {
             "the orbit fold already is the coarsest facility-measure quotient"
         );
 
-        let joint = analysis.joint_steady_state_availability().unwrap();
-        assert_eq!(joint.joint_states, 9216);
-        assert_eq!(joint.solved_states, 4656);
+        // The materialised joint chain, Gauss–Seidel solved.
+        let quotient = analysis.compiled_quotient().unwrap();
+        assert_eq!(quotient.source_states(), 9216);
+        assert_eq!(quotient.num_states(), 4656);
+        let solver =
+            SteadyStateSolver::new(quotient.chain()).exec(ExecOptions::with_threads(threads));
+        let pi = solver.solve().unwrap();
+        let joint = quotient.availability_of(&pi);
         let product_form = analysis.steady_state_availability().unwrap();
         assert!(
-            (joint.availability - product_form).abs() <= 1e-9,
-            "{} vs {product_form}",
-            joint.availability
+            (joint - product_form).abs() <= 1e-9,
+            "{joint} vs {product_form}"
         );
-        assert!(joint.residual < 1e-9, "residual {}", joint.residual);
+        let residual = solver.balance_residual(&pi).unwrap();
+        assert!(residual < 1e-9, "residual {residual}");
 
         let times = [0.5, 1.5, 4.0];
         let recovery = analysis
@@ -96,11 +102,11 @@ fn twin_facility_orbit_counts_are_pinned_across_thread_counts() {
 
         match &reference {
             None => {
-                reference = Some((joint.availability, product_form, recovery, cost));
+                reference = Some((joint, product_form, recovery, cost));
             }
             Some((availability, product, recovery_reference, cost_reference)) => {
                 assert!(
-                    availability.to_bits() == joint.availability.to_bits()
+                    availability.to_bits() == joint.to_bits()
                         && product.to_bits() == product_form.to_bits(),
                     "steady-state results differ at {threads} threads"
                 );
